@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import VerificationError
 from .exactnum import faulhaber, gen_binomial, rat_to_str, zeta_neg
@@ -31,6 +32,7 @@ from .relations import (
     BasisRepresentation,
     RelationVector,
     basis_representation,
+    function_label,
     relation_family,
 )
 
@@ -114,15 +116,11 @@ class PoleTable:
         return "\n".join(lines)
 
     def to_text(self) -> str:
-        lines = [f"poles of {_family_label(self.n)}:"]
+        lines = [f"poles of {function_label(self.n)}:"]
         for r in self.records:
             note = f"  [{r.annotation}]" if r.annotation else ""
             lines.append(f"  s = {r.location:>3}   residue {rat_to_str(r.residue)}{note}")
         return "\n".join(lines)
-
-
-def _family_label(n: int) -> str:
-    return "zeta(0,s)" if n == 0 else f"zeta(-{n},s+{n})"
 
 
 def pole_table(n: int) -> PoleTable:
@@ -194,6 +192,7 @@ class ZetaShiftExpansion:
         return {"c": self.c, "q": [rat_to_str(x) for x in self.q]}
 
 
+@cache
 def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
     """Expansion of zeta(-c, s+c) over shifted Riemann zetas.
 
@@ -201,7 +200,9 @@ def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
     the inner power sum: summing S_c(n) * n^(-s-c) over n termwise
     turns the n^(c+1-j) piece into zeta(s+j-1).  For c >= 1 the closed
     form has zero constant term and j stops at c; for c = 0 the
-    constant -1 of S_0(n) = n - 1 contributes the j = 1 entry.
+    constant -1 of S_0(n) = n - 1 contributes the j = 1 entry.  The
+    result is immutable and memoised per c, because collapsing a
+    family's relations asks for the same expansions again and again.
     """
     coeffs = faulhaber(c).coeffs
     if c == 0:
@@ -292,7 +293,9 @@ def verify_relations_exact(N: int) -> ExactRelationReport:
     Checks the floor(N/2) relation vectors of `relation_family(N)` and
     the representations for m <= floor((N-1)/2); each must cancel to
     the zero vector over the zeta(s+j-1) symbols.  Nonzero residual
-    coordinates are reported with their origin and j index.
+    coordinates are reported with their origin and j index.  All
+    representations are read at the one size n' = ceil(N/2), so the
+    matrix inverse behind them is built once.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -304,7 +307,7 @@ def verify_relations_exact(N: int) -> ExactRelationReport:
             failures.append(f"relation {idx}: residual {v} on j = {j}")
     m_top = (N - 1) // 2
     for m in range(m_top + 1):
-        rep = basis_representation(m)
+        rep = basis_representation(m, n_prime=m_top + 1)
         residual = collapse_relation(rep.as_relation_vector())
         for j, v in sorted(residual.items()):
             failures.append(f"representation m = {m}: residual {v} on j = {j}")
@@ -341,6 +344,6 @@ def independence_witness(m: int) -> PoleRecord:
         if pole_table(c).residue_at(location) != 0:
             raise VerificationError(
                 f"witness at s = {location} is not exclusive: "
-                f"{_family_label(c)} shares it"
+                f"{function_label(c)} shares it"
             )
     return record

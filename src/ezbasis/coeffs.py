@@ -12,8 +12,11 @@ symmetric power sum m^(r-1) + n^(r-1) over the building blocks
 m^(d-1) n^(d-1) (m+n)^(r+1-2d).  Note the shift: the exponent is the
 row index minus one.  Row 1 is the degenerate constant row and is
 carried with a factor 1/2 by convention (it books the function family's
-index-0 member at half weight), so the symbolic verification below
-starts at exponent 1.
+index-0 member at half weight), so the power-sum verification below
+starts at exponent 1.  Both sides of that identity are homogeneous of
+degree r-1, so the verification compares their integer coefficient
+vectors of length r, built with `math.comb` from the integer rows of
+a_{c,d}; the public `BivariatePoly` is not needed for it.
 
 The matrix A for parameter N stacks rows 1..2N' over columns 1..N'
 with N' = floor(N/2).  Odd rows form the lower-triangular A1, even
@@ -226,7 +229,7 @@ def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# symbolic power-sum verification
+# power-sum verification
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +343,7 @@ def power_sum_decomposition(e: int, n_prime: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class PowerSumReport:
-    """Outcome of the symbolic power-sum check for e = 1..e_max."""
+    """Outcome of the power-sum check for e = 1..e_max."""
 
     e_max: int
     checked: int
@@ -352,25 +355,28 @@ class PowerSumReport:
 
 
 def verify_power_sum_identity(e_max: int) -> PowerSumReport:
-    """Expand each decomposition symbolically and compare with m^e + n^e.
+    """Expand each decomposition and compare it with m^e + n^e.
 
     Runs e = 1..e_max (exponent 0 is the halved constant row, see
-    `power_sum_decomposition`).  Each failing exponent is recorded in
-    the report rather than raised, so a single bad row cannot mask
-    later ones.
+    `power_sum_decomposition`).  Both sides are homogeneous of degree
+    e, so each is the integer vector of its m^i n^(e-i) coefficients,
+    i = 0..e: block d adds a_{e+1,d} * binom(e-2d+2, t) at i = d-1+t.
+    Each failing exponent is recorded in the report rather than
+    raised, so a single bad row cannot mask later ones.
     """
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
+    _ensure_rows(e_max + 1)
     failures = []
     for e in range(1, e_max + 1):
-        n_prime = (e + 2) // 2
-        coeffs = power_sum_decomposition(e, n_prime)
-        acc = BivariatePoly.zero()
-        for d, coef in enumerate(coeffs, start=1):
+        acc = [0] * (e + 1)
+        for d, coef in enumerate(_coeff_rows[e], start=1):
             if coef == 0:
                 continue
-            acc = acc.plus(BivariatePoly.symmetric_block(d, e - 2 * d + 2).times(coef))
-        if acc != BivariatePoly.power_sum(e):
+            p = e - 2 * d + 2
+            for t in range(p + 1):
+                acc[d - 1 + t] += coef * comb(p, t)
+        if acc != [1] + [0] * (e - 1) + [1]:
             failures.append(e)
     return PowerSumReport(e_max=e_max, checked=e_max, failures=tuple(failures))
 

@@ -11,7 +11,9 @@ BasisRepresentation folds it away and speaks about zeta(0,s) itself.
 Two independent derivations of the same basis coefficients exist:
 
 * `basis_representation` reads them off a row of A2 * A1^(-1), pure
-  exact linear algebra on the coefficient matrix;
+  exact linear algebra on the coefficient matrix of one family size,
+  whose triangular inverses are built once and shared with
+  `relation_family`;
 * `residue_system_representation` never touches the matrix and instead
   matches pole residues of the meromorphic continuations, walking the
   shared pole locations from the lowest up and solving one linear
@@ -24,11 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
-from .coeffs import build_matrix_A, split_A1_A2
+from .coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from .errors import VerificationError
 from .exactnum import gen_binomial, rat_to_str
-from .trilinalg import invert_forward, mat_mul
+from .trilinalg import invert_forward
 
 MATRIX_PATH = "matrix_path"
 RESIDUE_PATH = "residue_path"
@@ -76,6 +80,24 @@ class RelationVector:
         return (head,) + self.coefficients[1:]
 
 
+class _Family(NamedTuple):
+    a1: CoeffMatrix
+    a2: CoeffMatrix
+    inv1: CoeffMatrix
+    inv2: CoeffMatrix
+
+
+@lru_cache(maxsize=1)
+def _family(n_prime: int) -> _Family:
+    """A1, A2 and both inverses of the size-2n' coefficient matrix.
+
+    One entry suffices: a verify run asks for one size, or for two
+    sizes one after the other when N is odd.
+    """
+    a1, a2 = split_A1_A2(build_matrix_A(2 * n_prime))
+    return _Family(a1, a2, invert_forward(a1), invert_forward(a2))
+
+
 def relation_family(N: int) -> list[RelationVector]:
     """All N' relations of the size-N family, one per matrix row.
 
@@ -86,15 +108,13 @@ def relation_family(N: int) -> list[RelationVector]:
     if N < 2:
         raise ValueError("N must be >= 2")
     n_prime = N // 2
-    a1, a2 = split_A1_A2(build_matrix_A(N))
-    inv1 = invert_forward(a1)
-    inv2 = invert_forward(a2)
+    fam = _family(n_prime)
     out = []
     for i in range(n_prime):
         coeffs = [Fraction(0)] * (2 * n_prime)
         for k in range(n_prime):
-            coeffs[2 * k] = inv1.entries[i][k]
-            coeffs[2 * k + 1] = -inv2.entries[i][k]
+            coeffs[2 * k] = fam.inv1.entries[i][k]
+            coeffs[2 * k + 1] = -fam.inv2.entries[i][k]
         out.append(RelationVector(coefficients=tuple(coeffs), provenance=MATRIX_PATH))
     return out
 
@@ -193,20 +213,28 @@ class BasisRepresentation:
 def basis_representation(m: int, n_prime: int | None = None) -> BasisRepresentation:
     """Basis coefficients for zeta(-2m-1, s+2m+1) from the matrix path.
 
-    Builds the coefficient matrix at size n_prime (default m+1, any
-    larger size gives the same answer), forms A2 * A1^(-1), and reads
-    row m+1: its entries weight (zeta(0,s)/2, zeta(-2,s+2), ...), so
-    the first entry is halved into gamma[0].
+    Takes A2 and A1^(-1) of the family at size n_prime (default m+1;
+    any larger size gives the same answer, so callers covering many m
+    pass one shared size and the inverse is built once) and computes
+    only row m+1 of A2 * A1^(-1).  Both factors are lower triangular,
+    so with 0-based indices entry k of that row sums
+    A2[m][l] * A1^(-1)[l][k] over k <= l <= m.  The entries weight
+    (zeta(0,s)/2, zeta(-2,s+2), ...), so the first entry is halved
+    into gamma[0].
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     size = m + 1 if n_prime is None else n_prime
     if size < m + 1:
         raise ValueError("n_prime must be at least m + 1")
-    a1, a2 = split_A1_A2(build_matrix_A(2 * size))
-    product = mat_mul(a2, invert_forward(a1))
-    row = product.entries[m]
-    gamma = [row[0] / 2] + [row[k] for k in range(1, m + 1)]
+    fam = _family(size)
+    a2_row = fam.a2.entries[m]
+    inv1 = fam.inv1.entries
+    row = [
+        sum((a2_row[l] * inv1[l][k] for l in range(k, m + 1) if a2_row[l]), Fraction(0))
+        for k in range(m + 1)
+    ]
+    gamma = [row[0] / 2] + row[1:]
     return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=MATRIX_PATH)
 
 

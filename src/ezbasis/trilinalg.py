@@ -157,20 +157,35 @@ def _bareiss_det(m: list[list[int]], n: int) -> int:
 
 
 def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
-    """Exact matrix product; triangularity propagates when both have it."""
+    """Exact matrix product; triangularity propagates when both have it.
+
+    Each row of P and each column of Q is scaled to integers by the lcm
+    of its denominators, so every dot product runs in integers and each
+    output entry is normalised once, as Fraction(dot, dP * dQ).
+    """
     if P.cols != Q.rows:
         raise ValueError(
             f"dimension mismatch: {P.rows}x{P.cols} times {Q.rows}x{Q.cols}"
         )
-    qt = list(zip(*Q.entries))
+    prows = [_scaled_to_int(row) for row in P.entries]
+    qcols = [_scaled_to_int(col) for col in zip(*Q.entries)]
     rows = [
-        [sum((x * y for x, y in zip(prow, qcol) if x), Fraction(0)) for qcol in qt]
-        for prow in P.entries
+        [
+            Fraction(sum(x * y for x, y in zip(pnum, qnum) if x), pden * qden)
+            for qnum, qden in qcols
+        ]
+        for pnum, pden in prows
     ]
     both_lt = P.shape_tag == LOWER_TRIANGULAR and Q.shape_tag == LOWER_TRIANGULAR
     # product of triangular matrices keeps a nonzero diagonal, so the
     # tagged constructor validation cannot fail here
     return CoeffMatrix.from_rows(rows, shape_tag=LOWER_TRIANGULAR if both_lt else GENERAL)
+
+
+def _scaled_to_int(vec: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of vec over the lcm of its denominators, and that lcm."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def row_sums(M: CoeffMatrix) -> tuple[Fraction, ...]:

@@ -223,11 +223,13 @@ class TestVerifyRelationsExact:
         assert report.relations_checked == 6
         assert report.representations_checked == 6
 
-    def test_n13_adds_one_representation(self):
-        report = verify_relations_exact(13)
+    @pytest.mark.parametrize("N", [13, 61])
+    def test_odd_n_adds_one_representation(self, N):
+        # relations use n' = (N-1)/2, representations the larger (N+1)/2
+        report = verify_relations_exact(N)
         assert report.ok
-        assert report.relations_checked == 6
-        assert report.representations_checked == 7
+        assert report.relations_checked == (N - 1) // 2
+        assert report.representations_checked == (N + 1) // 2
 
     def test_too_small(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +337,16 @@ class TestPlumbing:
             cli.main()
         assert exc.value.code == 0
         capsys.readouterr()
+
+    def test_python_m_runs_cli(self, capsys):
+        code, out, _ = run_cli(capsys, "poles", "--n", "2")
+        assert code == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ezbasis", "poles", "--n", "2"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == out.encode()

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ezbasis import coeffs
 from ezbasis.coeffs import (
     GENERAL,
     LOWER_TRIANGULAR,
@@ -291,6 +292,17 @@ class TestVerifyPowerSum:
 
     def test_minimal_run(self):
         assert verify_power_sum_identity(1).ok
+
+    def test_corrupted_coefficient_is_reported(self, monkeypatch):
+        # a_{7,2} decomposes m^6 + n^6; the rows past it are already
+        # built, so the corruption reaches exponent 6 and no other
+        coeffs.coeff_a(12, 1)
+        rows = list(coeffs._coeff_rows)
+        rows[6] = [rows[6][0], rows[6][1] + 1] + rows[6][2:]
+        monkeypatch.setattr(coeffs, "_coeff_rows", rows)
+        report = verify_power_sum_identity(11)
+        assert not report.ok
+        assert report.failures == (6,)
 
     def test_bad_argument(self):
         with pytest.raises(ValueError):
