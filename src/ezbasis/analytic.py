@@ -123,6 +123,7 @@ class PoleTable:
         return "\n".join(lines)
 
 
+@cache
 def pole_table(n: int) -> PoleTable:
     """Direct catalog of the poles of zeta(-n, s+n).
 
@@ -132,7 +133,9 @@ def pole_table(n: int) -> PoleTable:
     n >= 2 there are further simple poles at s = -2k,
     k = 0..floor(n/2)-1, with residue binom(2k-n, 2k+1) * zeta(-2k-1);
     for odd n the candidate pole at the next even location is canceled
-    by a trivial zero, hence the floor(n/2) count.
+    by a trivial zero, hence the floor(n/2) count.  The table is
+    immutable and memoised per n, because the independence witnesses
+    ask for every smaller catalog again and again.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -103,7 +103,8 @@ class CoeffMatrix:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
         grid = tuple(
-            tuple(Fraction(x) for x in row) for row in self.entries
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in self.entries
         )
         object.__setattr__(self, "entries", grid)
         if len(grid) != self.rows or any(len(row) != self.cols for row in grid):
@@ -133,7 +134,7 @@ class CoeffMatrix:
 
     @classmethod
     def from_rows(cls, rows, shape_tag: str = GENERAL) -> CoeffMatrix:
-        grid = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        grid = tuple(tuple(row) for row in rows)
         if not grid:
             raise ValueError("matrix dimensions must be positive")
         return cls(rows=len(grid), cols=len(grid[0]), entries=grid, shape_tag=shape_tag)

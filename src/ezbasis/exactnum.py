@@ -95,11 +95,17 @@ def gen_binomial(x: Fraction | int, k: int) -> Fraction:
     """Generalized binomial coefficient C(x, k) = x(x-1)...(x-k+1)/k!.
 
     Defined for any rational x and integer k >= 0; C(x, 0) = 1.
-    Negative integer tops are routine here, e.g. C(-2, 1) = -2.
+    Negative integer tops are routine here, e.g. C(-2, 1) = -2.  An
+    integer top goes through `math.comb`, using
+    C(x, k) = (-1)^k C(k-x-1, k) for x < 0; only a non-integer top
+    multiplies out the falling factorial.
     """
     if k < 0:
         raise ValueError("lower index must be >= 0")
     x = Fraction(x)
+    if x.denominator == 1:
+        top = x.numerator
+        return Fraction(comb(top, k) if top >= 0 else (-1) ** k * comb(k - top - 1, k))
     num = Fraction(1)
     for i in range(k):
         num *= x - i

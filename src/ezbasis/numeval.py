@@ -349,7 +349,8 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     for idx, rel in enumerate(relation_family(N), start=1):
         folded_job(f"relation {idx}", rel)
     for m in range(m_top + 1):
-        folded_job(f"representation m={m}", basis_representation(m).as_relation_vector())
+        rep = basis_representation(m, n_prime=m_top + 1)
+        folded_job(f"representation m={m}", rep.as_relation_vector())
     for c in range(2 * n_prime):
         weights = tornheim_decomposition(c, n_prime)
         if c == 0:

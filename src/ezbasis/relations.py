@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from math import gcd
 
 from .coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from .errors import VerificationError
@@ -80,22 +80,33 @@ class RelationVector:
         return (head,) + self.coefficients[1:]
 
 
-class _Family(NamedTuple):
-    a1: CoeffMatrix
-    a2: CoeffMatrix
-    inv1: CoeffMatrix
-    inv2: CoeffMatrix
+class _Family:
+    """A1 and A2 of the size-2n' coefficient matrix, inverses on demand.
+
+    `basis_representation` reads only A2 and A1^(-1), `relation_family`
+    both inverses; each inverse is built at most once per size.
+    """
+
+    def __init__(self, n_prime: int) -> None:
+        self.a1, self.a2 = split_A1_A2(build_matrix_A(2 * n_prime))
+
+    @cached_property
+    def inv1(self) -> CoeffMatrix:
+        return invert_forward(self.a1)
+
+    @cached_property
+    def inv2(self) -> CoeffMatrix:
+        return invert_forward(self.a2)
 
 
 @lru_cache(maxsize=1)
 def _family(n_prime: int) -> _Family:
-    """A1, A2 and both inverses of the size-2n' coefficient matrix.
+    """The family of half-size n'.
 
     One entry suffices: a verify run asks for one size, or for two
     sizes one after the other when N is odd.
     """
-    a1, a2 = split_A1_A2(build_matrix_A(2 * n_prime))
-    return _Family(a1, a2, invert_forward(a1), invert_forward(a2))
+    return _Family(n_prime)
 
 
 def relation_family(N: int) -> list[RelationVector]:
@@ -257,16 +268,29 @@ def residue_system_representation(m: int) -> BasisRepresentation:
     redundant equation, checked at the end; an imbalance there would
     mean the system was inconsistent and raises VerificationError.
     Finally gamma = -c restores the positive convention, with gamma[0]
-    absorbing the halving.
+    absorbing the halving.  Every residue weight is an integer binomial,
+    so the solve keeps c_{2k} as integer numerators over one common
+    denominator and builds each Fraction once.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    c: dict[int, Fraction] = {}
+    num: dict[int, int] = {}
+    den = 1
     for j in range(m, 0, -1):
-        rhs = gen_binomial(2 * j - 3 - 2 * m, 2 * j - 1)
+        rhs = den * gen_binomial(2 * j - 3 - 2 * m, 2 * j - 1).numerator
         for k in range(j + 1, m + 1):
-            rhs += c[2 * k] * gen_binomial(2 * j - 2 - 2 * k, 2 * j - 1)
-        c[2 * j] = -rhs / gen_binomial(-2, 2 * j - 1)
+            rhs += num[2 * k] * gen_binomial(2 * j - 2 - 2 * k, 2 * j - 1).numerator
+        piv = gen_binomial(-2, 2 * j - 1).numerator
+        g = gcd(rhs, piv)
+        rhs //= g
+        piv //= g
+        if abs(piv) == 1:
+            num[2 * j] = -rhs * piv
+        else:
+            num = {idx: x * piv for idx, x in num.items()}
+            num[2 * j] = -rhs
+            den *= piv
+    c = {idx: Fraction(x, den) for idx, x in num.items()}
     c0 = -(1 + sum(c.values()))
     balance = Fraction(1, 2 * m + 2)
     balance += sum(c[2 * k] / (2 * k + 1) for k in range(1, m + 1))

@@ -13,12 +13,19 @@ algorithms on the same input is used as a machine check throughout the
 test suite; `det_Dij` exposes the minors themselves through a third
 route (fraction-free elimination) so the shared recurrence below is
 cross-checked as well.
+
+All three kernels (both inversions and `mat_mul`) run on integers: each
+row (for `mat_mul` also each column of the right factor) is scaled by
+the lcm of its denominators, the arithmetic stays in integers over
+that row and column denominator, and every output entry becomes one
+reduced Fraction.  The two inversions share only that row scaling,
+never their substitution or recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .coeffs import GENERAL, LOWER_TRIANGULAR, CoeffMatrix
 from .errors import SingularMatrixError
@@ -53,21 +60,34 @@ def _require_invertible_triangular(M: CoeffMatrix) -> None:
 def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
     """Exact inverse of a lower-triangular matrix by forward substitution.
 
-    Column j of the inverse solves M x = e_j top to bottom; the result
-    is lower triangular with diagonal 1/a_{i,i}.
+    With row i scaled to integers B_i = d_i * M_i, the inverse is
+    B^(-1) D, so column j is d_j times the solution of B y = e_j.  That
+    solution is built top to bottom as integer numerators over one
+    common denominator: step i divides gcd(s, b_ii) out of the partial
+    sum s and b_ii, and only a cofactor other than +-1 rescales the
+    column.  The result is lower triangular with diagonal 1/a_{i,i}.
     """
     _require_invertible_triangular(M)
     n = M.rows
-    a = M.entries
+    b, d = zip(*(_scaled_to_int(row) for row in M.entries))
     inv = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
-        inv[j][j] = Fraction(1) / a[j][j]
+        num = [1]
+        den = b[j][j]
         for i in range(j + 1, n):
-            acc = Fraction(0)
-            for k in range(j, i):
-                if a[i][k]:
-                    acc += a[i][k] * inv[k][j]
-            inv[i][j] = -acc / a[i][i]
+            row = b[i]
+            s = sum(x * y for x, y in zip(row[j:i], num))
+            g = gcd(s, row[i])
+            s //= g
+            piv = row[i] // g
+            if abs(piv) == 1:
+                num.append(-s * piv)
+            else:
+                num = [y * piv for y in num]
+                num.append(-s)
+                den *= piv
+        for k, y in enumerate(num):
+            inv[j + k][j] = Fraction(y * d[j], den)
     return CoeffMatrix.from_rows(inv, shape_tag=LOWER_TRIANGULAR)
 
 
@@ -84,33 +104,36 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
     with d_0 = 1.  The trailing diagonal products are maintained
     incrementally (each step multiplies all previous ones by a single
     new diagonal entry), so a full inverse costs O(n^3) like forward
-    substitution.  The recurrence itself is cross-checked against
+    substitution.  The recurrence runs on the rows scaled to integers,
+    B_i = d_i * M_i: scaling row i scales every minor through it, so
+    inv[j+k][j] = (-1)^k d_k(B) * d_j / (b_{j,j} ... b_{j+k,j+k}), one
+    Fraction per entry.  The recurrence itself is cross-checked against
     `det_Dij`, which evaluates the same minors by elimination.
     """
     _require_invertible_triangular(M)
     n = M.rows
-    a = M.entries
+    b, scale = zip(*(_scaled_to_int(row) for row in M.entries))
     inv = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
-        inv[j][j] = Fraction(1) / a[j][j]
+        inv[j][j] = Fraction(scale[j], b[j][j])
         # d[k] = D_{j+k,j}; u[c-1] = d_{c-1} * prod of diag entries j+c..j+k-1
-        d = [Fraction(1)]
-        u: list[Fraction] = []
-        denom = Fraction(a[j][j])
+        d = [1]
+        u: list[int] = []
+        denom = b[j][j]
         for k in range(1, n - j):
             if u:
-                grown = a[j + k - 1][j + k - 1]
+                grown = b[j + k - 1][j + k - 1]
                 u = [x * grown for x in u]
             u.append(d[k - 1])
-            acc = Fraction(0)
-            row = a[j + k]
+            acc = 0
+            row = b[j + k]
             for c in range(1, k + 1):
                 e = row[j + c - 1]
                 if e:
                     acc += e * u[c - 1] if (k + c) % 2 == 0 else -e * u[c - 1]
             d.append(acc)
-            denom *= a[j + k][j + k]
-            inv[j + k][j] = (d[k] if k % 2 == 0 else -d[k]) / denom
+            denom *= row[j + k]
+            inv[j + k][j] = Fraction((d[k] if k % 2 == 0 else -d[k]) * scale[j], denom)
     return CoeffMatrix.from_rows(inv, shape_tag=LOWER_TRIANGULAR)
 
 

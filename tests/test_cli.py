@@ -341,12 +341,25 @@ class TestPlumbing:
     def test_python_m_runs_cli(self, capsys):
         code, out, _ = run_cli(capsys, "poles", "--n", "2")
         assert code == 0
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ezbasis", "poles", "--n", "2"],
-            capture_output=True, env=env, timeout=60,
-        )
+        proc = _python_m("ezbasis", "poles", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout == out.encode()
+
+    @pytest.mark.parametrize(
+        "args", [("poles", "--n", "2"), ("poles", "--n", "-1")], ids=["ok", "bad-n"]
+    )
+    def test_python_m_cli_module_runs_cli(self, capsys, args):
+        code, out, _ = run_cli(capsys, *args)
+        proc = _python_m("ezbasis.cli", *args)
+        assert proc.returncode == code
+        assert proc.stdout == out.encode()
+
+
+def _python_m(module, *args):
+    """Run `python -m module args` in a fresh interpreter that finds src."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], capture_output=True, env=env, timeout=60,
+    )

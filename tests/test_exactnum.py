@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -123,6 +123,19 @@ class TestGenBinomial:
             for k in range(8):
                 expected = comb(n, k) if k <= n else 0
                 assert gen_binomial(F(n), k) == expected
+
+    def test_integer_top_matches_falling_factorial(self):
+        # reference written out here: the integer branch itself uses comb
+        for x in range(-80, 80):
+            for k in range(50):
+                falling = 1
+                for i in range(k):
+                    falling *= x - i
+                expected = F(falling, factorial(k))
+                for top in (x, F(x)):
+                    got = gen_binomial(top, k)
+                    assert type(got) is F
+                    assert got == expected
 
     def test_negative_upper(self):
         assert gen_binomial(F(-1), 3) == -1

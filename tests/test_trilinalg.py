@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+from ezbasis import trilinalg
 from ezbasis.coeffs import (
     GENERAL,
     LOWER_TRIANGULAR,
@@ -121,6 +123,59 @@ class TestInvertCofactor:
         m = CoeffMatrix.from_rows([[F(0)]])
         with pytest.raises(SingularMatrixError):
             invert_cofactor(m)
+
+
+@pytest.mark.parametrize("invert", [invert_forward, invert_cofactor])
+class TestIntegerKernels:
+    """Edge cases of the integer-scaled rows both inversions run on."""
+
+    @staticmethod
+    def _check(invert, rows, expected):
+        m = CoeffMatrix.from_rows(rows)
+        inv = invert(m)
+        assert inv.entries == tuple(tuple(F(x) for x in row) for row in expected)
+        for row in inv.entries:
+            for x in row:
+                assert type(x) is F
+                assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+        assert mat_mul(m, inv) == CoeffMatrix.identity(m.rows)
+
+    def test_one_by_one(self, invert):
+        self._check(invert, [[F(-4, 6)]], [[F(-3, 2)]])
+
+    def test_negative_diagonal(self, invert):
+        self._check(invert, [[-3, 0], [5, -2]], [[F(-1, 3), 0], [F(-5, 6), F(-1, 2)]])
+
+    def test_mixed_denominators(self, invert):
+        # rows 2 and 3 share denominator factors: lcms 20 and 72, not 40 and 1728
+        rows = [
+            [F(1, 6), 0, 0],
+            [F(1, 4), F(1, 10), 0],
+            [F(3, 8), F(5, 12), F(-7, 18)],
+        ]
+        expected = [[6, 0, 0], [-15, 10, 0], [F(-72, 7), F(75, 7), F(-18, 7)]]
+        self._check(invert, rows, expected)
+
+    def test_zero_partial_sum(self, invert):
+        # column 1 of the inverse hits 4*(1/2) + 3*(-2/3) = 0 at row 3
+        rows = [[2, 0, 0, 0], [4, 3, 0, 0], [4, 3, 7, 0], [1, 1, 1, 5]]
+        expected = [
+            [F(1, 2), 0, 0, 0],
+            [F(-2, 3), F(1, 3), 0, 0],
+            [0, F(-1, 7), F(1, 7), 0],
+            [F(1, 30), F(-4, 105), F(-1, 35), F(1, 5)],
+        ]
+        self._check(invert, rows, expected)
+
+
+def test_cofactor_does_not_use_forward(monkeypatch):
+    def forbidden(M):
+        raise AssertionError("invert_cofactor must not call invert_forward")
+
+    monkeypatch.setattr(trilinalg, "invert_forward", forbidden)
+    a1, a2 = split_A1_A2(build_matrix_A(12))
+    assert invert_cofactor(a1).entries == tuple(tuple(row) for row in A1_INV_12)
+    assert invert_cofactor(a2).entries == tuple(tuple(row) for row in A2_INV_12)
 
 
 class TestDetDij:
