@@ -41,7 +41,6 @@ from .exactnum import (
     bernoulli,
     faulhaber,
     gen_binomial,
-    rat_arith,
     rat_from_str,
     rat_to_str,
     zeta_neg,
@@ -103,7 +102,6 @@ __all__ = [
     "numeric_verify",
     "pole_table",
     "power_sum_decomposition",
-    "rat_arith",
     "rat_from_str",
     "rat_to_str",
     "relation_family",

@@ -17,27 +17,6 @@ from math import comb
 
 Rational = Fraction
 
-_ARITH_OPS = ("add", "sub", "mul", "div")
-
-
-def rat_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of the four field operations to two rationals.
-
-    `op` is one of "add", "sub", "mul", "div".  Division by zero raises
-    ZeroDivisionError; an unknown op raises ValueError.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}, expected one of {_ARITH_OPS}")
-
 
 def rat_to_str(x: Fraction) -> str:
     """Canonical string form: "p/q" in lowest terms, or "p" when q == 1."""

@@ -4,9 +4,30 @@ points.
 
 All inner sums (the power sums S_c(n) and the Tornheim convolutions)
 are carried in exact integer arithmetic and converted to float once per
-outer term; outer sums go through math.fsum, so the only float error is
-one rounding per term plus one for the total.  That keeps observed
-residuals orders of magnitude below the reported truncation bounds.
+outer term; outer sums go through math.fsum, so float error never
+accumulates across terms: each term carries only the roundings of its
+own conversion and products, and the total one more.  That keeps
+observed residuals orders of magnitude below the reported truncation
+bounds.
+
+Each series is a pipeline of C-level iterators rather than a Python
+loop.  The power sums are the running totals
+accumulate(m^c for m = 1, 2, ...); the Tornheim inner values come from
+the forward differences of the integer polynomial P = den * C_a at
+N = 2, one nested accumulate per order.  Each term is then
+float(v) * n^(-e), divided by den for Tornheim, and real s feeds the
+terms straight into fsum.  Complex s stores the magnitudes once and
+sums them against the phase table exp(-i Im(s) log n), which is built
+once per (Im s, cutoff) and shared by every series at that point.
+
+The overflow guard is checked once per series.  A term takes the
+plain formula when its inner integer has under 900 bits and
+e*log2(n) < 900.  Inner values increase with n, e is fixed, and
+log2 of distinct integers is far more than an ulp apart, so when the
+guard holds at n = cutoff for an upper bound of the last inner value,
+it holds for every term, and the plain formula gives each term
+bitwise as the per-term guard would.  Otherwise every term goes
+through the guarded `_term_float`.
 
 Tail bound derivation, used by both evaluators.  For the double zeta
 series the inner sum obeys S_c(n) <= n^(c+1)/(c+1): each m^c is at most
@@ -29,9 +50,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
 from math import comb, lcm
+from operator import attrgetter, mul, truediv
 
 from .coeffs import tornheim_decomposition
 from .exactnum import bernoulli, faulhaber
@@ -82,59 +107,63 @@ def _tail_bound(sigma: float, cutoff: int, inner_div: int) -> float:
     return _SLACK * cutoff ** (2.0 - sigma) / ((sigma - 2.0) * inner_div)
 
 
+def _plain_float_ok(big: int, n: int, expo: float) -> bool:
+    """True when big * n**(-expo) can be formed without overflow."""
+    return big.bit_length() < 900 and expo * math.log2(n) < 900
+
+
 def _term_float(big: int, n: int, expo: float) -> float:
     """big * n**(-expo) for a positive integer big, overflow-safe."""
-    if big.bit_length() < 900 and expo * math.log2(n) < 900:
+    if _plain_float_ok(big, n, expo):
         return float(big) * n ** (-expo)
     return math.exp(math.log(big) - expo * math.log(n))
 
 
-def _sum_series(inner_at, s: complex, cutoff: int, shift: int, den: int = 1) -> complex:
-    """fsum of inner_at(n)/den * n^(-s-shift) for n = 2..cutoff.
+@lru_cache(maxsize=1)
+def _phase_table(tau: float, cutoff: int) -> tuple[array, array]:
+    """Real and imaginary parts of exp(-i tau log n) for n = 2..cutoff."""
+    phases = map(cmath.exp, map(mul, repeat(-1j * tau), map(math.log, range(2, cutoff + 1))))
+    flat = array("d", chain.from_iterable(map(attrgetter("real", "imag"), phases)))
+    return flat[0::2], flat[1::2]
 
-    inner_at yields exact non-negative integers.  Real s takes the pure
-    float path; complex s splits each term into magnitude and phase.
+
+def _sum_series(inner, top: int, s: complex, cutoff: int, shift: int, den: int = 1) -> complex:
+    """fsum of v_n/den * n^(-s-shift) for n = 2..cutoff.
+
+    `inner` yields the exact positive integers v_2, ..., v_cutoff,
+    which increase with n, and `top` is at least v_cutoff.  Real s
+    sums the magnitudes directly; complex s multiplies them into the
+    phase table of the point.
     """
-    sigma = s.real
+    expo = s.real + shift
+    ns = range(2, cutoff + 1)
+    if _plain_float_ok(top, cutoff, expo):
+        # the guard holds at every n <= cutoff, see module docstring
+        mags = map(mul, map(float, inner), map(pow, ns, repeat(-expo)))
+    else:
+        mags = map(_term_float, inner, ns, repeat(expo))
+    if den != 1:
+        mags = map(truediv, mags, repeat(den))
     if s.imag == 0.0:
-        parts = []
-        for n in range(2, cutoff + 1):
-            big = inner_at(n)
-            if big:
-                parts.append(_term_float(big, n, sigma + shift) / den)
-        return complex(math.fsum(parts), 0.0)
-    re_parts = []
-    im_parts = []
-    tau = s.imag
-    for n in range(2, cutoff + 1):
-        big = inner_at(n)
-        if not big:
-            continue
-        mag = _term_float(big, n, sigma + shift) / den
-        phase = cmath.exp(-1j * tau * math.log(n))
-        re_parts.append(mag * phase.real)
-        im_parts.append(mag * phase.imag)
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+        return complex(math.fsum(mags), 0.0)
+    mags = array("d", mags)
+    re, im = _phase_table(s.imag, cutoff)
+    return complex(math.fsum(map(mul, mags, re)), math.fsum(map(mul, mags, im)))
 
 
 def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
     """Truncated sum of zeta(-c, s+c) = sum_{n>=2} S_c(n) n^(-s-c).
 
-    The inner power sum is updated incrementally as an exact integer.
-    Requires Re(s) > 2.1 and cutoff >= 10.
+    The inner power sums are the running totals of m^c as exact
+    integers.  Requires Re(s) > 2.1 and cutoff >= 10.
     """
     if c < 0:
         raise ValueError("c must be >= 0")
     s = _check_domain(s, cutoff)
-    state = {"n": 1, "acc": 0}
-
-    def inner(n: int) -> int:
-        # S_c(n) grows by (n-1)^c when n advances by one
-        state["acc"] += (n - 1) ** c
-        state["n"] = n
-        return state["acc"]
-
-    value = _sum_series(inner, s, cutoff, shift=c)
+    inner = accumulate(map(pow, range(1, cutoff), repeat(c)))
+    # S_c(cutoff) has cutoff - 1 terms, each at most (cutoff - 1)^c
+    top = (cutoff - 1) ** (c + 1)
+    value = _sum_series(inner, top, s, cutoff, shift=c)
     return NumericResult(
         value=value,
         tail_bound=_tail_bound(s.real, cutoff, c + 1),
@@ -176,6 +205,13 @@ def _tornheim_poly(a: int) -> tuple[list[int], int]:
     return [int(x * den) for x in coeffs], den
 
 
+def _horner(poly: list[int], n: int) -> int:
+    acc = 0
+    for coef in poly:
+        acc = acc * n + coef
+    return acc
+
+
 def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
     """Truncated Tornheim value T(-a, -a; s+2a) = sum C_a(N) N^(-s-2a).
 
@@ -187,14 +223,18 @@ def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
         raise ValueError("a must be >= 0")
     s = _check_domain(s, cutoff)
     poly, den = _tornheim_poly(a)
-
-    def inner(n: int) -> int:
-        acc = 0
-        for coef in poly:
-            acc = acc * n + coef
-        return acc
-
-    value = _sum_series(inner, s, cutoff, shift=2 * a, den=den)
+    # forward differences of P at N = 2: the last one is constant, and
+    # each lower order is the running total of the one above it
+    diffs = []
+    row = [_horner(poly, n) for n in range(2, len(poly) + 2)]
+    while row:
+        diffs.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    inner = repeat(diffs.pop())
+    for start in reversed(diffs):
+        inner = accumulate(inner, initial=start)
+    inner = islice(inner, cutoff - 1)
+    value = _sum_series(inner, _horner(poly, cutoff), s, cutoff, shift=2 * a, den=den)
     return NumericResult(
         value=value,
         tail_bound=_tail_bound(s.real, cutoff, a + 1),
@@ -232,24 +272,47 @@ _ZETA_REAL = {
 
 _EM_TERMS = 32
 _EM_CORRECTIONS = 8
+_EM_MAX_REMAINDER = 1e-13
+
+
+def _em_remainder_bound(s: complex) -> float:
+    """Bound on the Euler-Maclaurin remainder of `zeta_reference` at s.
+
+    After R corrections the remainder is at most |s+2R+1|/(Re(s)+2R+1)
+    times the first omitted term, B_{2R+2}/(2R+2)! * s(s+1)...(s+2R) *
+    K^(-s-2R-1) (Edwards, Riemann's Zeta Function, sec. 6.4).
+    """
+    R = _EM_CORRECTIONS
+    poch = 1.0
+    for j in range(2 * R + 1):
+        poch *= abs(s + j)
+    weight = abs(float(bernoulli(2 * R + 2))) / math.factorial(2 * R + 2)
+    first_omitted = weight * poch * float(_EM_TERMS) ** (-s.real - 2 * R - 1)
+    return _SLACK * abs(s + 2 * R + 1) / (s.real + 2 * R + 1) * first_omitted
 
 
 def zeta_reference(s: complex) -> complex:
-    """Reference zeta(s) for the oracle comparison, Re(s) > 1.
+    """Reference zeta(s) for the oracle comparison, Re(s) > 1.1.
 
     Integer real arguments in the table above are returned directly;
     everything else goes through Euler-Maclaurin summation with
     _EM_TERMS direct terms and _EM_CORRECTIONS Bernoulli correction
-    terms, which at these parameters is accurate to well under 1e-12
-    for Re(s) > 1.1 and moderate imaginary part (the remainder after R
-    corrections is below the first omitted term, here smaller than
-    32**(-Re(s)-16)).
+    terms.  The remainder grows like |Im s|^17, so s is rejected with
+    ValueError when its remainder bound exceeds 1e-13 (about
+    |Im s| > 76 at Re(s) = 4); every accepted value is accurate to
+    well under 1e-12, float rounding of the ~40 summed terms included.
     """
     s = complex(s)
     if s.imag == 0.0 and s.real == int(s.real) and int(s.real) in _ZETA_REAL:
         return complex(_ZETA_REAL[int(s.real)], 0.0)
     if s.real <= 1.1:
         raise ValueError("reference zeta requires Re(s) > 1.1")
+    bound = _em_remainder_bound(s)
+    if not bound <= _EM_MAX_REMAINDER:
+        raise ValueError(
+            f"reference zeta is not accurate at s = {s}: remainder bound "
+            f"{bound:.1e} exceeds {_EM_MAX_REMAINDER:.0e}; reduce |Im(s)|"
+        )
     K = _EM_TERMS
     acc = complex(0.0)
     for n in range(1, K):

@@ -13,33 +13,10 @@ from ezbasis.exactnum import (
     bernoulli,
     faulhaber,
     gen_binomial,
-    rat_arith,
     rat_from_str,
     rat_to_str,
     zeta_neg,
 )
-
-
-class TestRatArith:
-    def test_basic_ops(self):
-        a = F(3, 4)
-        b = F(-2, 5)
-        assert rat_arith(a, b, "add") == F(7, 20)
-        assert rat_arith(a, b, "sub") == F(23, 20)
-        assert rat_arith(a, b, "mul") == F(-3, 10)
-        assert rat_arith(a, b, "div") == F(-15, 8)
-
-    def test_accepts_ints(self):
-        assert rat_arith(2, 3, "add") == 5
-        assert isinstance(rat_arith(2, 3, "add"), F)
-
-    def test_divide_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_arith(F(1), F(0), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rat_arith(F(1), F(2), "pow")
 
 
 class TestStringConversion:

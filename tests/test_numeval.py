@@ -3,12 +3,15 @@ verification layer."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import pytest
 
+from ezbasis.exactnum import bernoulli
 from ezbasis.numeval import (
     NumericResult,
+    _tornheim_poly,
     eval_ez_double,
     eval_tornheim,
     numeric_verify,
@@ -16,6 +19,84 @@ from ezbasis.numeval import (
     zeta_reference,
 )
 from golden_values import ZETA_4_PLUS_3I, ZETA_5_HALVES, ZETA_7_HALVES
+
+
+def _reference_term_float(big: int, n: int, expo: float) -> float:
+    if big.bit_length() < 900 and expo * math.log2(n) < 900:
+        return float(big) * n ** (-expo)
+    return math.exp(math.log(big) - expo * math.log(n))
+
+
+def _reference_sum_series(inner_at, s: complex, cutoff: int, shift: int, den: int = 1) -> complex:
+    """The term-by-term loop the evaluators must reproduce bit for bit."""
+    sigma = s.real
+    if s.imag == 0.0:
+        parts = []
+        for n in range(2, cutoff + 1):
+            big = inner_at(n)
+            if big:
+                parts.append(_reference_term_float(big, n, sigma + shift) / den)
+        return complex(math.fsum(parts), 0.0)
+    re_parts = []
+    im_parts = []
+    tau = s.imag
+    for n in range(2, cutoff + 1):
+        big = inner_at(n)
+        if not big:
+            continue
+        mag = _reference_term_float(big, n, sigma + shift) / den
+        phase = cmath.exp(-1j * tau * math.log(n))
+        re_parts.append(mag * phase.real)
+        im_parts.append(mag * phase.imag)
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
+
+
+def _reference_ez_double(c: int, s: complex, cutoff: int) -> complex:
+    state = {"acc": 0}
+
+    def inner(n: int) -> int:
+        state["acc"] += (n - 1) ** c
+        return state["acc"]
+
+    return _reference_sum_series(inner, complex(s), cutoff, shift=c)
+
+
+def _reference_tornheim(a: int, s: complex, cutoff: int) -> complex:
+    poly, den = _tornheim_poly(a)
+
+    def inner(n: int) -> int:
+        acc = 0
+        for coef in poly:
+            acc = acc * n + coef
+        return acc
+
+    return _reference_sum_series(inner, complex(s), cutoff, shift=2 * a, den=den)
+
+
+class TestAgainstReferenceLoop:
+    """The iterator pipelines change no bit of any value."""
+
+    @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0])
+    def test_ez_double_bitwise(self, s):
+        for c in range(12):
+            assert eval_ez_double(c, s, 3_000).value == _reference_ez_double(c, s, 3_000)
+
+    @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0])
+    def test_tornheim_bitwise(self, s):
+        for a in range(6):
+            assert eval_tornheim(a, s, 3_000).value == _reference_tornheim(a, s, 3_000)
+
+    @pytest.mark.parametrize("s", [3.0, complex(3, 2)])
+    def test_guard_flips_inside_series(self, s):
+        # at c = 90, sigma = 3 the per-term overflow guard fails from
+        # n ~ 800 on, so the whole series takes the guarded fallback
+        assert eval_ez_double(90, s, 2_000).value == _reference_ez_double(90, s, 2_000)
+        assert eval_tornheim(40, s, 2_000).value == _reference_tornheim(40, s, 2_000)
+
+    def test_short_series(self):
+        # fewer terms than the Tornheim polynomial has differences
+        assert eval_tornheim(9, 5.0, 10).value == _reference_tornheim(9, 5.0, 10)
+        assert eval_ez_double(0, 5.0, 10).value == _reference_ez_double(0, 5.0, 10)
 
 
 class TestEvalEzDouble:
@@ -140,6 +221,17 @@ class TestTornheim:
             eval_tornheim(0, 2.0, 1_000)
 
 
+def _euler_maclaurin(s: complex, K: int, R: int = 8) -> complex:
+    acc = sum(cmath.exp(-s * math.log(n)) for n in range(1, K))
+    k_pow = cmath.exp(-s * math.log(K))
+    acc += K * k_pow / (s - 1) + k_pow / 2
+    poch = complex(1.0)
+    for r in range(1, R + 1):
+        poch = s if r == 1 else poch * (s + 2 * r - 3) * (s + 2 * r - 2)
+        acc += float(bernoulli(2 * r)) / math.factorial(2 * r) * poch * k_pow * float(K) ** (1 - 2 * r)
+    return acc
+
+
 class TestZetaReference:
     def test_table_values(self):
         assert zeta_reference(2) == complex(1.6449340668482264)
@@ -160,6 +252,24 @@ class TestZetaReference:
             zeta_reference(1.05)
         with pytest.raises(ValueError):
             zeta_reference(complex(0.5, 14.1))
+
+    def test_imaginary_part_limit(self):
+        # the largest accepted Im(s) at Re(s) = 4 is where the
+        # remainder bound reaches 1e-13; the value there must still
+        # match an Euler-Maclaurin sum with K = 2000 to 1e-12
+        lo, hi = 0.0, 200.0
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            try:
+                zeta_reference(complex(4, mid))
+                lo = mid
+            except ValueError:
+                hi = mid
+        assert 60 < lo < 90
+        s = complex(4, lo)
+        assert abs(zeta_reference(s) - _euler_maclaurin(s, 2_000)) < 1e-12
+        with pytest.raises(ValueError, match="remainder bound"):
+            zeta_reference(complex(4, 150))
 
 
 class TestNumericResult:
