@@ -11,7 +11,10 @@ any Q-linear relation among family members can be verified exactly by
 collapsing it onto the zeta(s+j-1) coordinates: the relation holds as
 an identity of functions if and only if every coordinate cancels.  No
 independence assumption about the symbols zeta(s+j-1) is needed for
-that direction, which is the only one used.
+that direction, which is the only one used.  The collapse reads nothing
+but these expansions: it never touches the coefficient matrix or its
+inverses, so it checks the matrix path rather than repeating it.  It
+adds integer numerators over one common denominator per relation.
 
 The same expansion independently reproduces the pole catalog: each
 zeta(s+j-1) contributes a simple pole at s = 2-j with residue q_j, so
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .errors import VerificationError
 from .exactnum import faulhaber, gen_binomial, rat_to_str, zeta_neg
@@ -270,24 +274,36 @@ class ExactRelationReport:
         return not self.failures
 
 
+@cache
+def _expansion_ints(c: int) -> tuple[int, tuple[int, ...]]:
+    """zeta_shift_expansion(c).q as (common denominator, integer numerators)."""
+    q = zeta_shift_expansion(c).q
+    den = lcm(*(x.denominator for x in q))
+    return den, tuple(x.numerator * (den // x.denominator) for x in q)
+
+
 def collapse_relation(rel: RelationVector) -> dict[int, Fraction]:
     """Coordinates of a relation on the zeta(s+j-1) symbols.
 
     Returns only the nonzero coordinates; an exact relation returns an
     empty dict.  Position 0 contributes through half its expansion
-    because it stands for zeta(0,s)/2.
+    because it stands for zeta(0,s)/2; that halving goes into its
+    term's denominator, and every term is put over the lcm D of those.
     """
-    acc: dict[int, Fraction] = {}
+    terms = []
     for p, w in enumerate(rel.coefficients):
         if w == 0:
             continue
-        exp = zeta_shift_expansion(p)
-        scale = w / 2 if p == 0 else w
-        for j, qj in enumerate(exp.q):
-            if qj == 0:
-                continue
-            acc[j] = acc.get(j, Fraction(0)) + scale * qj
-    return {j: v for j, v in acc.items() if v != 0}
+        den, nums = _expansion_ints(p)
+        terms.append((w.numerator, w.denominator * den * (2 if p == 0 else 1), nums))
+    D = lcm(*(d for _, d, _ in terms))
+    acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
+    for wn, d, nums in terms:
+        f = wn * (D // d)
+        for j, x in enumerate(nums):
+            if x:
+                acc[j] += f * x
+    return {j: Fraction(v, D) for j, v in enumerate(acc) if v}
 
 
 def verify_relations_exact(N: int) -> ExactRelationReport:

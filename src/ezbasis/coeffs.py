@@ -25,7 +25,6 @@ rows the lower-triangular A2.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -41,25 +40,23 @@ _SHAPE_TAGS = (GENERAL, LOWER_TRIANGULAR)
 # ---------------------------------------------------------------------------
 # the coefficient family a_{c,d}
 
-_coeff_lock = threading.Lock()
 # _coeff_rows[c-1] holds row c for d = 1..ceil(c/2); entries beyond are 0
 _coeff_rows: list[list[int]] = [[1], [1], [1, -2]]
 
 
 def _ensure_rows(c: int) -> None:
-    with _coeff_lock:
-        while len(_coeff_rows) < c:
-            cc = len(_coeff_rows) + 1
-            # cc >= 4 here; rows 1..3 are seeded above
-            width = (cc + 1) // 2
-            prev = _coeff_rows[cc - 2]
-            prev2 = _coeff_rows[cc - 3]
-            row = [1]
-            for d in range(2, width + 1):
-                t1 = prev[d - 1] if d - 1 < len(prev) else 0
-                t2 = prev2[d - 2] if d - 2 < len(prev2) else 0
-                row.append(t1 - t2)
-            _coeff_rows.append(row)
+    while len(_coeff_rows) < c:
+        cc = len(_coeff_rows) + 1
+        # cc >= 4 here; rows 1..3 are seeded above
+        width = (cc + 1) // 2
+        prev = _coeff_rows[cc - 2]
+        prev2 = _coeff_rows[cc - 3]
+        row = [1]
+        for d in range(2, width + 1):
+            t1 = prev[d - 1] if d - 1 < len(prev) else 0
+            t2 = prev2[d - 2] if d - 2 < len(prev2) else 0
+            row.append(t1 - t2)
+        _coeff_rows.append(row)
 
 
 def _coeff_int(c: int, d: int) -> int:
@@ -69,7 +66,6 @@ def _coeff_int(c: int, d: int) -> int:
         # induction on the recurrence: rows vanish past column ceil(c/2)
         return 0
     _ensure_rows(c)
-    # rows are append-only and never mutated, so this read is safe
     return _coeff_rows[c - 1][d - 1]
 
 

@@ -3,17 +3,19 @@ non-positive integers, generalized binomial coefficients, and power-sum
 (Faulhaber) polynomials.
 
 Everything in this module is exact.  Rationals are `fractions.Fraction`
-throughout; no float ever enters or leaves.  The Bernoulli cache grows
-deterministically and is guarded by a lock, so concurrent readers always
-see a consistent table.
+at every interface; no float ever enters or leaves.  The inner loops do
+not add `Fraction`s, because each such add runs a gcd: the Bernoulli
+recurrence and Faulhaber evaluation accumulate integer numerators over
+one common denominator and build one `Fraction` per result.  The
+Bernoulli cache grows deterministically, a call for B_n filling the
+table up to n once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 Rational = Fraction
 
@@ -34,7 +36,6 @@ def rat_from_str(s: str) -> Fraction:
         raise ValueError(f"not a rational literal: {s!r}") from exc
 
 
-_bern_lock = threading.Lock()
 _bern_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
@@ -42,19 +43,27 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the B_1 = -1/2 convention.
 
     Computed by the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
-    and cached, so a call for B_n fills the table up to n once.
+    and cached, so a call for B_n fills the table up to n once.  The
+    fill keeps every cached B_k as an integer numerator over the lcm
+    of their denominators, so each step is one integer dot product.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    with _bern_lock:
-        while len(_bern_cache) <= n:
-            m = len(_bern_cache)
+    if len(_bern_cache) <= n:
+        # B_k = nums[k] / den for every cached k
+        den = lcm(*(b.denominator for b in _bern_cache))
+        nums = [b.numerator * (den // b.denominator) for b in _bern_cache]
+        for m in range(len(_bern_cache), n + 1):
             # sum_{k=0}^{m} C(m+1, k) B_k = 0, solved for B_m
-            acc = Fraction(0)
-            for k in range(m):
-                acc += comb(m + 1, k) * _bern_cache[k]
-            _bern_cache.append(-acc / (m + 1))
-        return _bern_cache[n]
+            acc = sum(comb(m + 1, k) * x for k, x in enumerate(nums) if x)
+            b = Fraction(-acc, den * (m + 1))
+            _bern_cache.append(b)
+            scale = b.denominator // gcd(den, b.denominator)
+            if scale != 1:
+                nums = [x * scale for x in nums]
+                den *= scale
+            nums.append(b.numerator * (den // b.denominator))
+    return _bern_cache[n]
 
 
 def zeta_neg(k: int) -> Fraction:
@@ -120,10 +129,12 @@ class FaulhaberPoly:
             raise ValueError("sum at n = 2 must equal 1")
 
     def eval_at(self, n: int) -> Fraction:
-        acc = Fraction(0)
+        """S_c(n) by Horner's rule on integer numerators over one denominator."""
+        den = lcm(*(x.denominator for x in self.coeffs))
+        acc = 0
         for coef in self.coeffs:
-            acc = acc * n + coef
-        return acc
+            acc = acc * n + coef.numerator * (den // coef.denominator)
+        return Fraction(acc, den)
 
 
 def faulhaber(c: int) -> FaulhaberPoly:
@@ -137,7 +148,8 @@ def faulhaber(c: int) -> FaulhaberPoly:
         raise ValueError("exponent must be >= 0")
     coeffs = [Fraction(0)] * (c + 2)
     for i in range(c + 1):
-        coeffs[i] = Fraction(comb(c + 1, i)) * bernoulli(i) / (c + 1)
+        b = bernoulli(i)
+        coeffs[i] = Fraction(comb(c + 1, i) * b.numerator, b.denominator * (c + 1))
     if c == 0:
         coeffs[1] -= 1
     return FaulhaberPoly(c=c, coeffs=tuple(coeffs))

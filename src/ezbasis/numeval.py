@@ -43,7 +43,10 @@ The Tornheim convolution satisfies the same shape of bound via
 C_a(N) <= N^a S_a(N) <= N^(2a+1)/(a+1).  The reported bound multiplies
 by 17/16 as headroom so that float rounding in the bound itself can
 never understate the truth.  The enforced margin Re(s) > 2.1 keeps
-sigma - 2 away from zero so the bound stays meaningful.
+sigma - 2 away from zero so the bound stays meaningful.  At the other
+end, a point is rejected once the first term 2^(-sigma-c) of the
+largest-shift series underflows to 0.0, since every term of that
+series would then be 0.0 and its identities would hold trivially.
 """
 
 from __future__ import annotations
@@ -91,11 +94,24 @@ class NumericResult:
         }
 
 
-def _check_domain(s: complex, cutoff: int) -> complex:
+def _require_finite(s: complex) -> complex:
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"s must be finite, got {s}")
+    return s
+
+
+def _check_domain(s: complex, cutoff: int, shift: int) -> complex:
+    # shift is the largest c of the series summed at s, see module docstring
+    s = _require_finite(s)
     if s.real <= _MIN_SIGMA:
         raise ValueError(
             f"Re(s) must exceed {_MIN_SIGMA} (convergence margin), got {s.real}"
+        )
+    if 2.0 ** -(s.real + shift) == 0.0:
+        raise ValueError(
+            f"Re(s) = {s.real} is too large: the first term 2^-(Re(s)+{shift}) "
+            "underflows to 0.0, so the check would be empty"
         )
     if cutoff < 10:
         raise ValueError("cutoff must be >= 10")
@@ -155,11 +171,12 @@ def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
     """Truncated sum of zeta(-c, s+c) = sum_{n>=2} S_c(n) n^(-s-c).
 
     The inner power sums are the running totals of m^c as exact
-    integers.  Requires Re(s) > 2.1 and cutoff >= 10.
+    integers.  Requires Re(s) > 2.1, 2^(-Re(s)-c) > 0.0 in floats and
+    cutoff >= 10.
     """
     if c < 0:
         raise ValueError("c must be >= 0")
-    s = _check_domain(s, cutoff)
+    s = _check_domain(s, cutoff, shift=c)
     inner = accumulate(map(pow, range(1, cutoff), repeat(c)))
     # S_c(cutoff) has cutoff - 1 terms, each at most (cutoff - 1)^c
     top = (cutoff - 1) ** (c + 1)
@@ -221,7 +238,7 @@ def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
     """
     if a < 0:
         raise ValueError("a must be >= 0")
-    s = _check_domain(s, cutoff)
+    s = _check_domain(s, cutoff, shift=2 * a)
     poly, den = _tornheim_poly(a)
     # forward differences of P at N = 2: the last one is constant, and
     # each lower order is the running total of the one above it
@@ -301,8 +318,9 @@ def zeta_reference(s: complex) -> complex:
     ValueError when its remainder bound exceeds 1e-13 (about
     |Im s| > 76 at Re(s) = 4); every accepted value is accurate to
     well under 1e-12, float rounding of the ~40 summed terms included.
+    A non-finite s raises ValueError.
     """
-    s = complex(s)
+    s = _require_finite(s)
     if s.imag == 0.0 and s.real == int(s.real) and int(s.real) in _ZETA_REAL:
         return complex(_ZETA_REAL[int(s.real)], 0.0)
     if s.real <= 1.1:
@@ -387,12 +405,12 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    s = _check_domain(s, cutoff)
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     n_prime = N // 2
     m_top = (N - 1) // 2
     top_index = max(2 * n_prime - 1, 2 * m_top + 1)
+    s = _check_domain(s, cutoff, shift=top_index)
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
 
     ez = [eval_ez_double(c, s, cutoff) for c in range(top_index + 1)]
     torn = [eval_tornheim(d - 1, s, cutoff) for d in range(1, n_prime + 1)]

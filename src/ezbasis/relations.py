@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from .errors import VerificationError
@@ -83,8 +84,9 @@ class RelationVector:
 class _Family:
     """A1 and A2 of the size-2n' coefficient matrix, inverses on demand.
 
-    `basis_representation` reads only A2 and A1^(-1), `relation_family`
-    both inverses; each inverse is built at most once per size.
+    `basis_representation` reads only A2 and the integer columns of
+    A1^(-1), `relation_family` both inverses; each inverse is built at
+    most once per size.
     """
 
     def __init__(self, n_prime: int) -> None:
@@ -97,6 +99,17 @@ class _Family:
     @cached_property
     def inv2(self) -> CoeffMatrix:
         return invert_forward(self.a2)
+
+    @cached_property
+    def inv1_columns(self) -> list[tuple[int, list[int]]]:
+        """Column k of A1^(-1), rows k.. only, as (lcm denominator, numerators)."""
+        rows = self.inv1.entries
+        cols = []
+        for k in range(len(rows)):
+            col = [rows[l][k] for l in range(k, len(rows))]
+            den = lcm(*(x.denominator for x in col))
+            cols.append((den, [x.numerator * (den // x.denominator) for x in col]))
+        return cols
 
 
 @lru_cache(maxsize=1)
@@ -229,9 +242,10 @@ def basis_representation(m: int, n_prime: int | None = None) -> BasisRepresentat
     pass one shared size and the inverse is built once) and computes
     only row m+1 of A2 * A1^(-1).  Both factors are lower triangular,
     so with 0-based indices entry k of that row sums
-    A2[m][l] * A1^(-1)[l][k] over k <= l <= m.  The entries weight
-    (zeta(0,s)/2, zeta(-2,s+2), ...), so the first entry is halved
-    into gamma[0].
+    A2[m][l] * A1^(-1)[l][k] over k <= l <= m: one integer dot product
+    of A2's integer row with the integer column k of A1^(-1), and one
+    Fraction per entry.  The entries weight (zeta(0,s)/2,
+    zeta(-2,s+2), ...), so the first entry is halved into gamma[0].
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -239,11 +253,11 @@ def basis_representation(m: int, n_prime: int | None = None) -> BasisRepresentat
     if size < m + 1:
         raise ValueError("n_prime must be at least m + 1")
     fam = _family(size)
-    a2_row = fam.a2.entries[m]
-    inv1 = fam.inv1.entries
+    # A2 holds the even rows of the integer family a_{c,d}
+    a2_ints = [x.numerator for x in fam.a2.entries[m][: m + 1]]
     row = [
-        sum((a2_row[l] * inv1[l][k] for l in range(k, m + 1) if a2_row[l]), Fraction(0))
-        for k in range(m + 1)
+        Fraction(sum(map(mul, a2_ints[k:], col)), den)
+        for k, (den, col) in enumerate(fam.inv1_columns[: m + 1])
     ]
     gamma = [row[0] / 2] + row[1:]
     return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=MATRIX_PATH)

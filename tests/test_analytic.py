@@ -3,10 +3,14 @@ exact relation oracle built on it."""
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
 
+import ezbasis.analytic as analytic
+import ezbasis.relations as relations
+import ezbasis.trilinalg as trilinalg
 from ezbasis.analytic import (
     S_EQ_1,
     S_EQ_2,
@@ -208,6 +212,78 @@ class TestCollapseRelation:
         for m in range(8):
             rel = basis_representation(m).as_relation_vector()
             assert collapse_relation(rel) == {}
+
+
+def _collapse_reference(rel):
+    # the plain Fraction accumulation the integer kernel replaced
+    acc = {}
+    for p, w in enumerate(rel.coefficients):
+        if w == 0:
+            continue
+        scale = w / 2 if p == 0 else w
+        for j, qj in enumerate(zeta_shift_expansion(p).q):
+            if qj == 0:
+                continue
+            acc[j] = acc.get(j, F(0)) + scale * qj
+    return {j: v for j, v in acc.items() if v != 0}
+
+
+def _corrupted(rel, position, delta):
+    coeffs = list(rel.coefficients)
+    coeffs[position] += delta
+    return RelationVector(coefficients=tuple(coeffs), provenance=rel.provenance)
+
+
+def _vectors_n100():
+    rels = relation_family(100)
+    reps = [basis_representation(m, n_prime=50).as_relation_vector() for m in range(50)]
+    corrupted = [
+        # position 0 stands for zeta(0,s)/2: pins the halving
+        _corrupted(rels[9], 0, F(1, 3)),
+        # q of c = 5 has zeros at j = 3 and j = 5
+        _corrupted(rels[19], 5, F(-1, 7)),
+        _corrupted(reps[30], 61, F(5, 11)),
+    ]
+    return rels + reps, corrupted
+
+
+class TestCollapseAgainstFractionLoop:
+    def test_family_n100_and_corruptions(self):
+        exact, corrupted = _vectors_n100()
+        for rel in exact:
+            assert collapse_relation(rel) == _collapse_reference(rel) == {}
+        for rel in corrupted:
+            got = collapse_relation(rel)
+            assert got == _collapse_reference(rel)
+            assert got and all(type(v) is F for v in got.values())
+        assert set(collapse_relation(corrupted[0])) == {0, 1}
+        assert set(collapse_relation(corrupted[1])) == {0, 1, 2, 4}
+
+    def test_independent_of_matrix_path(self, monkeypatch):
+        exact, corrupted = _vectors_n100()
+        expected = [_collapse_reference(rel) for rel in corrupted]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the collapse oracle must not use the matrix path")
+
+        for name, obj in vars(trilinalg).items():
+            if inspect.isfunction(obj) and obj.__module__ == trilinalg.__name__:
+                monkeypatch.setattr(trilinalg, name, refuse)
+        for module in (relations, analytic):
+            monkeypatch.setattr(module, "basis_representation", refuse)
+        monkeypatch.setattr(relations, "invert_forward", refuse)
+        monkeypatch.setattr(relations, "_family", refuse)
+        monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)
+        zeta_shift_expansion.cache_clear()
+        for rel in exact:
+            assert collapse_relation(rel) == {}
+        assert [collapse_relation(rel) for rel in corrupted] == expected
+
+    def test_imports_nothing_from_trilinalg(self):
+        assert not any(
+            getattr(obj, "__module__", None) == trilinalg.__name__
+            for obj in vars(analytic).values()
+        )
 
 
 class TestVerifyRelationsExact:

@@ -278,6 +278,26 @@ class TestVerify:
         assert code == 2
         assert "bound" in err
 
+    @pytest.mark.parametrize("s", ["1e300", "1100", "1070"])
+    def test_numeric_huge_real_s_rejected(self, capsys, s):
+        # at n = 6 the largest shift is 5, and 2^-(1070+5) is 0.0 in
+        # floats: every term would underflow and the check read 0 = 0
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--mode", "numeric",
+            "--s", s, "--cutoff", "100", "--tol", "1e-6",
+        )
+        assert code == 2
+        assert out == ""
+        assert "underflows to 0.0" in err
+
+    def test_numeric_real_s_just_inside_underflow_limit(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "6", "--mode", "numeric",
+            "--s", "1069", "--cutoff", "100", "--tol", "1e-6",
+        )
+        assert code == 0
+        assert out.rstrip("\n").endswith("result: PASS")
+
     def test_latex_not_supported(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "4", "--format", "latex")
         assert code == 2

@@ -8,6 +8,7 @@ from math import comb, factorial
 
 import pytest
 
+import ezbasis.exactnum as exactnum
 from ezbasis.exactnum import (
     FaulhaberPoly,
     bernoulli,
@@ -188,3 +189,68 @@ class TestFaulhaber:
         p = faulhaber(2)
         with pytest.raises(AttributeError):
             p.c = 5
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the plain Fraction loops they replaced
+
+
+def _bernoulli_reference(n):
+    table = [F(1), F(-1, 2)]
+    for m in range(2, n + 1):
+        acc = F(0)
+        for k in range(m):
+            acc += comb(m + 1, k) * table[k]
+        table.append(-acc / (m + 1))
+    return table[: n + 1]
+
+
+def _faulhaber_reference(c):
+    coeffs = [F(0)] * (c + 2)
+    for i in range(c + 1):
+        coeffs[i] = F(comb(c + 1, i)) * _BERN_REF[i] / (c + 1)
+    if c == 0:
+        coeffs[1] -= 1
+    return tuple(coeffs)
+
+
+def _horner_reference(coeffs, n):
+    acc = F(0)
+    for coef in coeffs:
+        acc = acc * n + coef
+    return acc
+
+
+_BERN_REF = _bernoulli_reference(200)
+
+
+class TestIntegerKernels:
+    @pytest.mark.parametrize("stops", [(200,), (1, 2, 3, 50, 51, 200)])
+    def test_bernoulli_cold_fill_matches_fraction_recurrence(self, monkeypatch, stops):
+        # a fresh table, filled in one go or in steps that resume from
+        # a partial cache whose common denominator must then grow
+        monkeypatch.setattr(exactnum, "_bern_cache", [F(1), F(-1, 2)])
+        for n in stops:
+            assert bernoulli(n) == _BERN_REF[n]
+        got = [bernoulli(n) for n in range(201)]
+        assert got == _BERN_REF
+        assert all(type(b) is F for b in got)
+
+    def test_faulhaber_matches_fraction_construction(self):
+        for c in range(121):
+            p = faulhaber(c)
+            ref = _faulhaber_reference(c)
+            assert p.coeffs == ref
+            assert all(type(x) is F for x in p.coeffs)
+            for n in (0, 1, 2, 7):
+                got = p.eval_at(n)
+                assert type(got) is F
+                assert got == _horner_reference(ref, n)
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 40, 120])
+    def test_perturbed_coefficient_still_rejected(self, c):
+        good = faulhaber(c).coeffs
+        for i in range(c + 2):
+            broken = good[:i] + (good[i] + F(1, 3**c),) + good[i + 1:]
+            with pytest.raises(ValueError):
+                FaulhaberPoly(c=c, coeffs=broken)

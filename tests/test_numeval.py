@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+import ezbasis.numeval as numeval
 from ezbasis.exactnum import bernoulli
 from ezbasis.numeval import (
     NumericResult,
@@ -271,6 +272,13 @@ class TestZetaReference:
         with pytest.raises(ValueError, match="remainder bound"):
             zeta_reference(complex(4, 150))
 
+    @pytest.mark.parametrize(
+        "s", [math.inf, -math.inf, math.nan, complex(math.inf, 0), complex(4, math.nan)]
+    )
+    def test_non_finite_rejected(self, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            zeta_reference(s)
+
 
 class TestNumericResult:
     def test_validation(self):
@@ -341,3 +349,24 @@ class TestNumericVerify:
             numeric_verify(6, 5.0, 2_000, 0.0)
         with pytest.raises(ValueError):
             numeric_verify(6, 5.0, 2_000, -1e-5)
+
+    def test_underflow_limit_uses_largest_shift(self, monkeypatch):
+        # N = 6 sums shifts up to 5 and N = 8 up to 7; 2^-1074 is the
+        # smallest positive float
+        numeric_verify(6, 1069.0, 100, 1e-6)
+        with monkeypatch.context() as mp:
+            # rejected up front, before any series is summed
+            mp.setattr(numeval, "eval_ez_double", None)
+            with pytest.raises(ValueError, match="underflows to 0.0"):
+                numeric_verify(8, 1069.0, 100, 1e-6)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            eval_ez_double(6, 1069.0, 100)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            eval_tornheim(3, 1069.0, 100)
+        assert eval_ez_double(5, 1069.0, 100).value.real > 0.0
+
+    def test_non_finite_s_rejected(self):
+        with pytest.raises(ValueError, match="s must be finite"):
+            numeric_verify(6, math.nan, 2_000, 1e-5)
+        with pytest.raises(ValueError, match="s must be finite"):
+            eval_ez_double(2, complex(5, math.inf), 2_000)

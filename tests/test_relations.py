@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ezbasis.coeffs import build_matrix_A, split_A1_A2
 from ezbasis.errors import VerificationError
 from ezbasis.relations import (
     MATRIX_PATH,
@@ -20,6 +21,7 @@ from ezbasis.relations import (
     relation_family,
     residue_system_representation,
 )
+from ezbasis.trilinalg import invert_forward
 from golden_values import A1_INV_12, A2_INV_12, BASIS_LATEX_M5, GAMMA
 
 
@@ -152,6 +154,35 @@ class TestBasisRepresentation:
             basis_representation(1).to_text()
             == "zeta(-3,s+3) = 3/2 zeta(-2,s+2) - 1/4 zeta(0,s)"
         )
+
+
+def _gamma_reference(size):
+    # row m of A2 * A1^(-1) by Fraction sums, the loop the integer
+    # column kernel replaced, for every m < size
+    a1, a2 = split_A1_A2(build_matrix_A(2 * size))
+    inv1 = invert_forward(a1).entries
+    out = []
+    for m in range(size):
+        a2_row = a2.entries[m]
+        row = [
+            sum((a2_row[l] * inv1[l][k] for l in range(k, m + 1) if a2_row[l]), F(0))
+            for k in range(m + 1)
+        ]
+        out.append(tuple([row[0] / 2] + row[1:]))
+    return out
+
+
+class TestRowKernelAgainstFractionLoop:
+    def test_shared_size_50(self):
+        for m, ref in enumerate(_gamma_reference(50)):
+            gamma = basis_representation(m, n_prime=50).gamma
+            assert gamma == ref, f"m = {m}"
+            assert all(type(g) is F for g in gamma)
+
+    def test_default_size(self):
+        # any size >= m+1 gives the same row, so one reference serves
+        for m, ref in enumerate(_gamma_reference(50)):
+            assert basis_representation(m).gamma == ref, f"m = {m}"
 
 
 class TestResiduePath:
