@@ -14,7 +14,6 @@ summation with rigorous truncation bounds.  All symbolic data is
 """
 
 from .coeffs import (
-    BivariatePoly,
     CoeffMatrix,
     PowerSumReport,
     build_matrix_A,
@@ -37,7 +36,6 @@ from .analytic import (
 from .errors import SingularMatrixError, VerificationError
 from .exactnum import (
     FaulhaberPoly,
-    Rational,
     bernoulli,
     faulhaber,
     gen_binomial,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisFunction",
     "BasisRepresentation",
-    "BivariatePoly",
     "CoeffMatrix",
     "FaulhaberPoly",
     "NumericReport",
@@ -79,7 +76,6 @@ __all__ = [
     "PoleRecord",
     "PoleTable",
     "PowerSumReport",
-    "Rational",
     "RelationVector",
     "SingularMatrixError",
     "VerificationError",

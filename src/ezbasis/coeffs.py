@@ -16,11 +16,13 @@ index-0 member at half weight), so the power-sum verification below
 starts at exponent 1.  Both sides of that identity are homogeneous of
 degree r-1, so the verification compares their integer coefficient
 vectors of length r, built with `math.comb` from the integer rows of
-a_{c,d}; the public `BivariatePoly` is not needed for it.
+a_{c,d}.
 
 The matrix A for parameter N stacks rows 1..2N' over columns 1..N'
 with N' = floor(N/2).  Odd rows form the lower-triangular A1, even
-rows the lower-triangular A2.
+rows the lower-triangular A2.  `require_lower_triangular` is the one
+check that a matrix is invertible lower-triangular; `split_A1_A2` and
+both inversions in `trilinalg` run it.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .errors import SingularMatrixError
 from .exactnum import rat_from_str, rat_to_str
-
-GENERAL = "general"
-LOWER_TRIANGULAR = "lower_triangular"
-
-_SHAPE_TAGS = (GENERAL, LOWER_TRIANGULAR)
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +76,18 @@ def coeff_a(c: int, d: int) -> Fraction:
 # matrices
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CoeffMatrix:
-    """Dense exact-rational matrix with an optional triangularity tag.
+    """Dense exact-rational matrix.
 
-    `shape_tag` is "lower_triangular" only for square matrices whose
-    strictly upper entries are exactly zero and whose diagonal has no
-    zero; construction validates this, so a tagged matrix never needs
-    re-checking.  Equality and hashing ignore the tag and compare the
-    grid, which keeps JSON round-trips (where the tag is re-detected)
-    value-faithful.
+    Construction converts every entry to `Fraction` and checks that the
+    grid matches the declared dimensions; equality and hashing compare
+    the dimensions and the grid.
     """
 
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
-    shape_tag: str = GENERAL
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -105,67 +99,29 @@ class CoeffMatrix:
         object.__setattr__(self, "entries", grid)
         if len(grid) != self.rows or any(len(row) != self.cols for row in grid):
             raise ValueError("entry grid does not match declared dimensions")
-        if self.shape_tag not in _SHAPE_TAGS:
-            raise ValueError(f"unknown shape tag {self.shape_tag!r}")
-        if self.shape_tag == LOWER_TRIANGULAR:
-            if self.rows != self.cols:
-                raise ValueError("lower_triangular requires a square matrix")
-            for i, row in enumerate(grid):
-                if row[i] == 0:
-                    raise ValueError(f"zero diagonal entry at position {i + 1}")
-                if any(x != 0 for x in row[i + 1:]):
-                    raise ValueError(f"nonzero entry above the diagonal in row {i + 1}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoeffMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
-    def from_rows(cls, rows, shape_tag: str = GENERAL) -> CoeffMatrix:
+    def from_rows(cls, rows) -> CoeffMatrix:
         grid = tuple(tuple(row) for row in rows)
         if not grid:
             raise ValueError("matrix dimensions must be positive")
-        return cls(rows=len(grid), cols=len(grid[0]), entries=grid, shape_tag=shape_tag)
+        return cls(rows=len(grid), cols=len(grid[0]), entries=grid)
 
     @classmethod
     def identity(cls, n: int) -> CoeffMatrix:
         rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        return cls.from_rows(rows, shape_tag=LOWER_TRIANGULAR)
-
-    def is_lower_triangular(self) -> bool:
-        """Structural check, independent of the tag."""
-        if self.rows != self.cols:
-            return False
-        for i, row in enumerate(self.entries):
-            if row[i] == 0 or any(x != 0 for x in row[i + 1:]):
-                return False
-        return True
+        return cls.from_rows(rows)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CoeffMatrix:
-        """Parse the {"rows":…,"cols":…,"entries":[[…]]} encoding.
-
-        The shape tag is not serialized; it is re-detected so that a
-        round-trip through JSON compares equal to the original.
-        """
+        """Parse the {"rows":…,"cols":…,"entries":[[…]]} encoding."""
         try:
             rows = int(data["rows"])
             cols = int(data["cols"])
             grid = [[rat_from_str(x) for x in row] for row in data["entries"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed matrix object: {exc}") from exc
-        m = cls(rows=rows, cols=cols, entries=tuple(tuple(r) for r in grid))
-        if m.is_lower_triangular():
-            m = cls(rows=rows, cols=cols, entries=m.entries, shape_tag=LOWER_TRIANGULAR)
-        return m
+        return cls(rows=rows, cols=cols, entries=tuple(tuple(r) for r in grid))
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,15 +159,34 @@ def build_matrix_A(N: int) -> CoeffMatrix:
         [Fraction(_coeff_int(c, d)) for d in range(1, n_prime + 1)]
         for c in range(1, 2 * n_prime + 1)
     ]
-    return CoeffMatrix.from_rows(rows, shape_tag=GENERAL)
+    return CoeffMatrix.from_rows(rows)
+
+
+def require_lower_triangular(M: CoeffMatrix, *, nonsingular: bool = True) -> None:
+    """Reject M unless it is square and zero above the diagonal.
+
+    Shape problems raise ValueError.  With `nonsingular` (the default)
+    a zero diagonal entry then raises the more specific
+    SingularMatrixError; the shape is checked in full first, so that
+    error always means a well-shaped but singular matrix.
+    """
+    if M.rows != M.cols:
+        raise ValueError("matrix must be square")
+    for i, row in enumerate(M.entries):
+        if any(x != 0 for x in row[i + 1:]):
+            raise ValueError(f"nonzero entry above the diagonal in row {i + 1}")
+    if nonsingular:
+        for i, row in enumerate(M.entries):
+            if row[i] == 0:
+                raise SingularMatrixError(f"zero diagonal entry at position {i + 1}")
 
 
 def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
     """Odd rows and even rows of A, as validated triangular matrices.
 
-    Both submatrices are tagged lower_triangular; the constructor
-    validation therefore rejects a corrupted A (zero diagonal or stray
-    entry above the diagonal) with a ValueError.
+    Both halves go through `require_lower_triangular`, so a corrupted A
+    (a stray entry above the diagonal, or a zero diagonal) is rejected
+    with a ValueError, the latter as SingularMatrixError.
     """
     if A.rows % 2 != 0:
         raise ValueError("matrix must have an even number of rows")
@@ -220,102 +195,15 @@ def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
         raise ValueError("matrix must have shape 2k x k")
     odd = [A.entries[2 * i] for i in range(n_prime)]
     even = [A.entries[2 * i + 1] for i in range(n_prime)]
-    a1 = CoeffMatrix.from_rows(odd, shape_tag=LOWER_TRIANGULAR)
-    a2 = CoeffMatrix.from_rows(even, shape_tag=LOWER_TRIANGULAR)
+    a1 = CoeffMatrix.from_rows(odd)
+    a2 = CoeffMatrix.from_rows(even)
+    require_lower_triangular(a1)
+    require_lower_triangular(a2)
     return a1, a2
 
 
 # ---------------------------------------------------------------------------
 # power-sum verification
-
-
-@dataclass(frozen=True, eq=False)
-class BivariatePoly:
-    """Exact polynomial in two variables m, n.
-
-    Stored as a sorted tuple of (i, j, coefficient) monomials m^i n^j
-    with no explicit zeros, so structural equality is polynomial
-    equality.
-    """
-
-    terms: tuple[tuple[int, int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((i, j, Fraction(c)) for (i, j, c) in self.terms),
-        )
-        if any(c == 0 for (_, _, c) in self.terms):
-            raise ValueError("zero coefficients must not be stored")
-        keys = [(i, j) for (i, j, _) in self.terms]
-        if sorted(keys) != keys or len(set(keys)) != len(keys):
-            raise ValueError("terms must be sorted and distinct")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    @classmethod
-    def from_dict(cls, coeffs: dict[tuple[int, int], Fraction]) -> BivariatePoly:
-        terms = tuple(
-            (i, j, Fraction(c)) for (i, j), c in sorted(coeffs.items()) if c != 0
-        )
-        return cls(terms=terms)
-
-    @classmethod
-    def zero(cls) -> BivariatePoly:
-        return cls(terms=())
-
-    @classmethod
-    def power_sum(cls, e: int) -> BivariatePoly:
-        """m^e + n^e; for e = 0 this is the constant 2."""
-        if e < 0:
-            raise ValueError("exponent must be >= 0")
-        if e == 0:
-            return cls.from_dict({(0, 0): Fraction(2)})
-        return cls.from_dict({(e, 0): Fraction(1), (0, e): Fraction(1)})
-
-    @classmethod
-    def symmetric_block(cls, d: int, p: int) -> BivariatePoly:
-        """m^(d-1) n^(d-1) (m+n)^p expanded by the binomial theorem."""
-        if d < 1 or p < 0:
-            raise ValueError("require d >= 1 and p >= 0")
-        base = d - 1
-        coeffs = {
-            (base + t, base + p - t): Fraction(comb(p, t)) for t in range(p + 1)
-        }
-        return cls.from_dict(coeffs)
-
-    def plus(self, other: BivariatePoly) -> BivariatePoly:
-        acc = {(i, j): c for (i, j, c) in self.terms}
-        for (i, j, c) in other.terms:
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) + c
-        return BivariatePoly.from_dict(acc)
-
-    def times(self, scalar: Fraction | int) -> BivariatePoly:
-        s = Fraction(scalar)
-        if s == 0:
-            return BivariatePoly.zero()
-        return BivariatePoly(terms=tuple((i, j, c * s) for (i, j, c) in self.terms))
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        for (a, b, c) in self.terms:
-            if (a, b) == (i, j):
-                return c
-        return Fraction(0)
-
-    def eval_at(self, m: int, n: int) -> Fraction:
-        return sum((c * m**i * n**j for (i, j, c) in self.terms), Fraction(0))
-
-    @property
-    def is_symmetric(self) -> bool:
-        table = {(i, j): c for (i, j, c) in self.terms}
-        return all(table.get((j, i)) == c for (i, j), c in table.items())
 
 
 def power_sum_decomposition(e: int, n_prime: int) -> tuple[Fraction, ...]:

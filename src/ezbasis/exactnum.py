@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-Rational = Fraction
-
 
 def rat_to_str(x: Fraction) -> str:
     """Canonical string form: "p/q" in lowest terms, or "p" when q == 1."""
@@ -29,7 +27,13 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse the "p/q" / "p" forms produced by `rat_to_str`."""
+    """Parse the "p/q" / "p" forms produced by `rat_to_str`.
+
+    Anything else, including a value that is not a string, raises
+    ValueError.
+    """
+    if not isinstance(s, str):
+        raise ValueError(f"not a rational literal: {s!r}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -401,7 +401,8 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     Each check carries the rigorous bound on its residual implied by
     the truncation bounds of the evaluations involved; tol at or below
     the largest such bound is rejected up front, since a failure could
-    then never be attributed to a wrong identity.
+    then never be attributed to a wrong identity, and so is an infinite
+    tol, under which nothing could fail.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -411,6 +412,9 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     s = _check_domain(s, cutoff, shift=top_index)
     if not (tol > 0):
         raise ValueError("tol must be positive")
+    if math.isinf(tol):
+        # every finite residual is below inf, so the verdict would be a hollow PASS
+        raise ValueError(f"tol must be finite, got {tol}")
 
     ez = [eval_ez_double(c, s, cutoff) for c in range(top_index + 1)]
     torn = [eval_tornheim(d - 1, s, cutoff) for d in range(1, n_prime + 1)]

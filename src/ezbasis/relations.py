@@ -24,6 +24,7 @@ Their exact agreement for every m is one of the package's main checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,6 +48,36 @@ def function_label(p: int) -> str:
     if p == 0:
         return "zeta(0,s)"
     return f"zeta(-{p},s+{p})"
+
+
+def render_combination(
+    pairs: Iterable[tuple[str, Fraction]], latex: bool = False
+) -> str:
+    """Render a signed linear combination of (label, weight) pairs.
+
+    Labels are plain, like `function_label` gives them.  Text style puts
+    the coefficient in front (3/2 zeta(...)); latex style prefixes each
+    label with a backslash and splits the coefficient around it in
+    display fashion (3 \\zeta(...)/2).  Unit coefficients are suppressed
+    and zero weights skipped either way; an all-zero combination is "0".
+    """
+    parts: list[str] = []
+    for label, w in pairs:
+        if w == 0:
+            continue
+        mag = abs(w)
+        if latex:
+            num = "" if mag.numerator == 1 else f"{mag.numerator} "
+            den = "" if mag.denominator == 1 else f"/{mag.denominator}"
+            term = f"{num}\\{label}{den}"
+        else:
+            coef = "" if mag == 1 else f"{rat_to_str(mag)} "
+            term = f"{coef}{label}"
+        if not parts:
+            parts.append(term if w > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if w > 0 else f"- {term}")
+    return " ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -199,39 +230,15 @@ class BasisRepresentation:
             "coeffs": {str(2 * k): rat_to_str(g) for k, g in enumerate(self.gamma)},
         }
 
+    def _terms(self) -> list[tuple[str, Fraction]]:
+        return [(function_label(2 * k), self.gamma[k]) for k in range(self.m, -1, -1)]
+
     def to_latex(self) -> str:
         """One display line, highest basis index first, p \\zeta(...)/q terms."""
-        parts = [f"\\zeta(-{2 * self.m + 1},s+{2 * self.m + 1}) ="]
-        for k in range(self.m, -1, -1):
-            g = self.gamma[k]
-            if g == 0:
-                continue
-            label = "\\zeta(0,s)" if k == 0 else f"\\zeta(-{2 * k},s+{2 * k})"
-            mag = abs(g)
-            num = "" if mag.numerator == 1 else f"{mag.numerator} "
-            den = "" if mag.denominator == 1 else f"/{mag.denominator}"
-            term = f"{num}{label}{den}"
-            if k == self.m:
-                parts.append(term if g > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if g > 0 else f"- {term}")
-        return " ".join(parts)
+        return f"\\{self.target_label} = {render_combination(self._terms(), latex=True)}"
 
     def to_text(self) -> str:
-        parts = [f"{self.target_label} ="]
-        for k in range(self.m, -1, -1):
-            g = self.gamma[k]
-            if g == 0:
-                continue
-            label = function_label(2 * k)
-            mag = abs(g)
-            coef = "" if mag == 1 else f"{rat_to_str(mag)} "
-            term = f"{coef}{label}"
-            if k == self.m:
-                parts.append(term if g > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if g > 0 else f"- {term}")
-        return " ".join(parts)
+        return f"{self.target_label} = {render_combination(self._terms())}"
 
 
 def basis_representation(m: int, n_prime: int | None = None) -> BasisRepresentation:

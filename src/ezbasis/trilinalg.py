@@ -27,34 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .coeffs import GENERAL, LOWER_TRIANGULAR, CoeffMatrix
-from .errors import SingularMatrixError
-
-
-def _require_triangular_shape(M: CoeffMatrix) -> None:
-    if M.shape_tag == LOWER_TRIANGULAR:
-        return
-    if M.rows != M.cols:
-        raise ValueError("matrix must be square")
-    for i, row in enumerate(M.entries):
-        if any(x != 0 for x in row[i + 1:]):
-            raise ValueError("matrix must be lower triangular")
-
-
-def _require_invertible_triangular(M: CoeffMatrix) -> None:
-    """Reject inputs outside this module's contract.
-
-    A matrix already tagged lower_triangular was validated on
-    construction; anything else is scanned here.  Structural problems
-    are ValueError, a zero diagonal is the more specific
-    SingularMatrixError.
-    """
-    if M.shape_tag == LOWER_TRIANGULAR:
-        return
-    _require_triangular_shape(M)
-    for i in range(M.rows):
-        if M.entries[i][i] == 0:
-            raise SingularMatrixError(f"zero diagonal entry at position {i + 1}")
+from .coeffs import CoeffMatrix, require_lower_triangular
 
 
 def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
@@ -67,7 +40,7 @@ def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
     sum s and b_ii, and only a cofactor other than +-1 rescales the
     column.  The result is lower triangular with diagonal 1/a_{i,i}.
     """
-    _require_invertible_triangular(M)
+    require_lower_triangular(M)
     n = M.rows
     b, d = zip(*(_scaled_to_int(row) for row in M.entries))
     inv = [[Fraction(0)] * n for _ in range(n)]
@@ -88,7 +61,7 @@ def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
                 den *= piv
         for k, y in enumerate(num):
             inv[j + k][j] = Fraction(y * d[j], den)
-    return CoeffMatrix.from_rows(inv, shape_tag=LOWER_TRIANGULAR)
+    return CoeffMatrix.from_rows(inv)
 
 
 def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
@@ -110,7 +83,7 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
     Fraction per entry.  The recurrence itself is cross-checked against
     `det_Dij`, which evaluates the same minors by elimination.
     """
-    _require_invertible_triangular(M)
+    require_lower_triangular(M)
     n = M.rows
     b, scale = zip(*(_scaled_to_int(row) for row in M.entries))
     inv = [[Fraction(0)] * n for _ in range(n)]
@@ -134,7 +107,7 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
             d.append(acc)
             denom *= row[j + k]
             inv[j + k][j] = Fraction((d[k] if k % 2 == 0 else -d[k]) * scale[j], denom)
-    return CoeffMatrix.from_rows(inv, shape_tag=LOWER_TRIANGULAR)
+    return CoeffMatrix.from_rows(inv)
 
 
 def det_Dij(M: CoeffMatrix, i: int, j: int) -> Fraction:
@@ -145,7 +118,7 @@ def det_Dij(M: CoeffMatrix, i: int, j: int) -> Fraction:
     denominators, with row swaps when a pivot vanishes.  For i = j+1
     this degenerates to the single entry a_{i,j}.
     """
-    _require_triangular_shape(M)
+    require_lower_triangular(M, nonsingular=False)
     if not (1 <= j < i <= M.rows):
         raise ValueError("require 1 <= j < i <= n")
     size = i - j
@@ -180,7 +153,7 @@ def _bareiss_det(m: list[list[int]], n: int) -> int:
 
 
 def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
-    """Exact matrix product; triangularity propagates when both have it.
+    """Exact matrix product.
 
     Each row of P and each column of Q is scaled to integers by the lcm
     of its denominators, so every dot product runs in integers and each
@@ -199,10 +172,7 @@ def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
         ]
         for pnum, pden in prows
     ]
-    both_lt = P.shape_tag == LOWER_TRIANGULAR and Q.shape_tag == LOWER_TRIANGULAR
-    # product of triangular matrices keeps a nonzero diagonal, so the
-    # tagged constructor validation cannot fail here
-    return CoeffMatrix.from_rows(rows, shape_tag=LOWER_TRIANGULAR if both_lt else GENERAL)
+    return CoeffMatrix.from_rows(rows)
 
 
 def _scaled_to_int(vec: tuple[Fraction, ...]) -> tuple[list[int], int]:

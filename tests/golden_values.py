@@ -3,8 +3,9 @@
 The size-12 coefficient matrix with its triangular halves and their
 exact inverses, the first eight odd-index basis representations (gamma
 listed ascending: the zeta(0,s) coefficient first), one basis line in
-display LaTeX, and independently sourced high-precision Riemann zeta
-samples for validating the floating-point reference path.
+display LaTeX, byte-exact CLI renderings of basis and relation lines,
+and independently sourced high-precision Riemann zeta samples for
+validating the floating-point reference path.
 """
 
 from fractions import Fraction as F
@@ -68,6 +69,31 @@ BASIS_LATEX_M5 = (
     "+ 231 \\zeta(-6, s + 6) - 2805 \\zeta(-4, s + 4)/4 "
     "+ 1705 \\zeta(-2, s + 2)/2 - 691 \\zeta(0, s)/4"
 )
+
+# byte-exact CLI stdout (trailing newline included), pinning the spacing
+# that the whitespace-insensitive comparisons above do not see
+CLI_STDOUT = {
+    ("basis", "--m", "5"): (
+        "zeta(-11,s+11) = 11/2 zeta(-10,s+10) - 165/4 zeta(-8,s+8) "
+        "+ 231 zeta(-6,s+6) - 2805/4 zeta(-4,s+4) + 1705/2 zeta(-2,s+2) "
+        "- 691/4 zeta(0,s)\n"
+    ),
+    ("basis", "--m", "5", "--format", "latex"): (
+        "\\zeta(-11,s+11) = 11 \\zeta(-10,s+10)/2 - 165 \\zeta(-8,s+8)/4 "
+        "+ 231 \\zeta(-6,s+6) - 2805 \\zeta(-4,s+4)/4 + 1705 \\zeta(-2,s+2)/2 "
+        "- 691 \\zeta(0,s)/4\n"
+    ),
+    ("relations", "--n", "4"): (
+        "r1: 1/2 zeta(0,s) - zeta(-1,s+1) = 0\n"
+        "r2: 1/4 zeta(0,s) - 1/3 zeta(-1,s+1) - 1/2 zeta(-2,s+2) "
+        "+ 1/3 zeta(-3,s+3) = 0\n"
+    ),
+    ("relations", "--n", "4", "--format", "latex"): (
+        "\\zeta(0,s)/2 - \\zeta(-1,s+1) = 0 \\\\\n"
+        "\\zeta(0,s)/4 - \\zeta(-1,s+1)/3 - \\zeta(-2,s+2)/2 "
+        "+ \\zeta(-3,s+3)/3 = 0 \\\\\n"
+    ),
+}
 
 # zeta at off-table points, 17 significant digits
 ZETA_5_HALVES = 1.3414872572509172

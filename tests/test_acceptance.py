@@ -18,7 +18,6 @@ from ezbasis.analytic import (
     verify_relations_exact,
 )
 from ezbasis.coeffs import (
-    LOWER_TRIANGULAR,
     CoeffMatrix,
     build_matrix_A,
     split_A1_A2,
@@ -165,7 +164,7 @@ def test_criterion_10_random_inversion_cross_check():
                 while diag == 0:
                     diag = F(rng.randint(-10_000, 10_000), rng.randint(1, 10_000))
                 rows.append(row + [diag] + [F(0)] * (n - i - 1))
-            m = CoeffMatrix.from_rows(rows, shape_tag=LOWER_TRIANGULAR)
+            m = CoeffMatrix.from_rows(rows)
             inv = invert_forward(m)
             assert invert_cofactor(m) == inv
             eye = CoeffMatrix.identity(n)

@@ -13,7 +13,7 @@ import pytest
 import ezbasis.cli as cli
 from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.trilinalg import invert_forward
-from golden_values import BASIS_LATEX_M5
+from golden_values import BASIS_LATEX_M5, CLI_STDOUT
 
 
 def run_cli(capsys, *args):
@@ -154,6 +154,14 @@ class TestRelations:
         assert "\\zeta(0,s)/2 - \\zeta(-1,s+1)" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "args", list(CLI_STDOUT), ids=lambda args: "_".join(a.lstrip("-") for a in args)
+)
+def test_rendering_golden(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (0, CLI_STDOUT[args], "")
+
+
 class TestPoles:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "poles", "--n", "3", "--format", "json")
@@ -278,6 +286,15 @@ class TestVerify:
         assert code == 2
         assert "bound" in err
 
+    def test_infinite_tol_rejected(self, capsys):
+        # every finite residual is below inf, so PASS would be hollow
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--mode", "numeric",
+            "--cutoff", "100", "--tol", "inf",
+        )
+        assert (code, out) == (2, "")
+        assert err == "ezbasis: tol must be finite, got inf\n"
+
     @pytest.mark.parametrize("s", ["1e300", "1100", "1070"])
     def test_numeric_huge_real_s_rejected(self, capsys, s):
         # at n = 6 the largest shift is 5, and 2^-(1070+5) is 0.0 in
@@ -332,24 +349,21 @@ class TestPlumbing:
         assert text.endswith("\n")
         assert CoeffMatrix.from_json_dict(json.loads(text)) == build_matrix_A(6)
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-parent", "directory"],
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, name, reason):
+        target = tmp_path / name
+        code, out, err = run_cli(capsys, "matrix", "--n", "4", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"ezbasis: cannot write {target}: {reason}\n"
+
     def test_deterministic_output(self, capsys):
         first = run_cli(capsys, "relations", "--n", "8", "--format", "json")
         second = run_cli(capsys, "relations", "--n", "8", "--format", "json")
         assert first == second
-
-    def test_thread_env_rejected_zero(self, capsys, monkeypatch):
-        monkeypatch.setenv("EZBASIS_THREADS", "0")
-        code, _, err = run_cli(capsys, "matrix", "--n", "4")
-        assert code == 2
-        assert "EZBASIS_THREADS" in err
-
-    def test_thread_env_rejected_garbage(self, capsys, monkeypatch):
-        monkeypatch.setenv("EZBASIS_THREADS", "abc")
-        assert run_cli(capsys, "matrix", "--n", "4")[0] == 2
-
-    def test_thread_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("EZBASIS_THREADS", "4")
-        assert run_cli(capsys, "matrix", "--n", "4")[0] == 0
 
     def test_main_raises_system_exit(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["ezbasis", "poles", "--n", "2"])

@@ -10,17 +10,17 @@ import pytest
 
 from ezbasis import coeffs
 from ezbasis.coeffs import (
-    GENERAL,
-    LOWER_TRIANGULAR,
-    BivariatePoly,
     CoeffMatrix,
     build_matrix_A,
     coeff_a,
     power_sum_decomposition,
+    require_lower_triangular,
     split_A1_A2,
     tornheim_decomposition,
     verify_power_sum_identity,
 )
+from ezbasis.errors import SingularMatrixError
+from ezbasis.trilinalg import invert_cofactor, invert_forward
 from golden_values import A1_12, A2_12, A_12
 
 
@@ -100,11 +100,6 @@ class TestSplit:
                 assert a1.entries[i][j] == A1_12[i][j]
                 assert a2.entries[i][j] == A2_12[i][j]
 
-    def test_tags(self):
-        a1, a2 = split_A1_A2(build_matrix_A(12))
-        assert a1.shape_tag == LOWER_TRIANGULAR
-        assert a2.shape_tag == LOWER_TRIANGULAR
-
     def test_diagonals(self):
         a1, a2 = split_A1_A2(build_matrix_A(40))
         for i in range(20):
@@ -126,7 +121,6 @@ class TestSplit:
 class TestCoeffMatrix:
     def test_identity(self):
         m = CoeffMatrix.identity(3)
-        assert m.shape_tag == LOWER_TRIANGULAR
         assert m.entries == (
             (F(1), F(0), F(0)),
             (F(0), F(1), F(0)),
@@ -134,34 +128,9 @@ class TestCoeffMatrix:
         )
 
     def test_lower_triangular_detection(self):
-        m = CoeffMatrix.from_rows([[1, 0], [2, 3]])
-        assert m.is_lower_triangular()
-        m2 = CoeffMatrix.from_rows([[1, 5], [2, 3]])
-        assert not m2.is_lower_triangular()
-
-    def test_triangular_tag_requires_nonzero_diagonal(self):
+        require_lower_triangular(CoeffMatrix.from_rows([[1, 0], [2, 3]]))
         with pytest.raises(ValueError):
-            CoeffMatrix(
-                rows=2, cols=2,
-                entries=((F(1), F(0)), (F(2), F(0))),
-                shape_tag=LOWER_TRIANGULAR,
-            )
-
-    def test_triangular_tag_requires_square(self):
-        with pytest.raises(ValueError):
-            CoeffMatrix(
-                rows=2, cols=1,
-                entries=((F(1),), (F(2),)),
-                shape_tag=LOWER_TRIANGULAR,
-            )
-
-    def test_triangular_tag_rejects_upper_entries(self):
-        with pytest.raises(ValueError):
-            CoeffMatrix(
-                rows=2, cols=2,
-                entries=((F(1), F(7)), (F(2), F(1))),
-                shape_tag=LOWER_TRIANGULAR,
-            )
+            require_lower_triangular(CoeffMatrix.from_rows([[1, 5], [2, 3]]))
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -171,21 +140,17 @@ class TestCoeffMatrix:
         m = build_matrix_A(8)
         again = CoeffMatrix.from_json_dict(m.to_json_dict())
         assert again == m
-        assert again.shape_tag == GENERAL
 
     def test_json_round_trip_redetects_triangular(self):
         a1, _ = split_A1_A2(build_matrix_A(8))
         again = CoeffMatrix.from_json_dict(a1.to_json_dict())
         assert again == a1
-        assert again.shape_tag == LOWER_TRIANGULAR
+        require_lower_triangular(again)
 
-    def test_equality_ignores_tag(self):
-        a1, _ = split_A1_A2(build_matrix_A(6))
-        clone = CoeffMatrix(
-            rows=a1.rows, cols=a1.cols, entries=a1.entries, shape_tag=GENERAL
-        )
-        assert clone == a1
-        assert hash(clone) == hash(a1)
+    @pytest.mark.parametrize("entry", [1, None, [], "1/0"])
+    def test_json_bad_entry_is_value_error(self, entry):
+        with pytest.raises(ValueError):
+            CoeffMatrix.from_json_dict({"rows": 1, "cols": 1, "entries": [[entry]]})
 
     def test_to_latex(self):
         m = CoeffMatrix.from_rows([[1, 0], [F(-1, 2), 3]])
@@ -201,54 +166,42 @@ class TestCoeffMatrix:
         assert len(widths) == 1
 
 
-class TestBivariatePoly:
-    def test_zero(self):
-        z = BivariatePoly.zero()
-        assert z.terms == ()
-        assert z.eval_at(F(3), F(4)) == 0
+# The one triangularity check, reached through every caller that runs it.
+_SPLIT = pytest.param(lambda m: split_A1_A2(_stacked(m)), id="split_A1_A2")
+_INVERSIONS = [
+    pytest.param(invert_forward, id="invert_forward"),
+    pytest.param(invert_cofactor, id="invert_cofactor"),
+]
 
-    def test_drops_zero_terms(self):
-        p = BivariatePoly.from_dict({(1, 0): F(0), (0, 1): F(2)})
-        assert p.terms == ((0, 1, F(2)),)
 
-    def test_power_sum_basic(self):
-        # m^e + n^e
-        p = BivariatePoly.power_sum(3)
-        assert p.eval_at(F(2), F(5)) == 2**3 + 5**3
+def _stacked(m: CoeffMatrix) -> CoeffMatrix:
+    """A 2k x k matrix whose odd rows are m and whose even rows are identity rows."""
+    eye = CoeffMatrix.identity(m.rows).entries
+    return CoeffMatrix.from_rows(r for pair in zip(m.entries, eye) for r in pair)
 
-    def test_power_sum_zero_exponent(self):
-        p = BivariatePoly.power_sum(0)
-        assert p.eval_at(F(9), F(11)) == 2
 
-    def test_symmetric_block(self):
-        # (mn)^(d-1) * (m+n)^p
-        p = BivariatePoly.symmetric_block(2, 3)
-        assert p.eval_at(F(1), F(2)) == 2 * 27
-        assert p.is_symmetric
+class TestTriangularCheck:
+    @pytest.mark.parametrize("reject", _INVERSIONS)
+    def test_rejects_non_square(self, reject):
+        with pytest.raises(ValueError, match="square"):
+            reject(CoeffMatrix.from_rows([[F(1)], [F(2)]]))
 
-    def test_plus_and_scalar_times(self):
-        a = BivariatePoly.from_dict({(1, 0): F(1)})
-        b = BivariatePoly.from_dict({(0, 1): F(1)})
-        s = a.plus(b)
-        assert s.eval_at(F(3), F(4)) == 7
-        scaled = s.times(F(3, 2))
-        assert scaled.coefficient(1, 0) == F(3, 2)
-        assert scaled.coefficient(0, 1) == F(3, 2)
-        assert s.times(0) == BivariatePoly.zero()
+    @pytest.mark.parametrize("reject", [_SPLIT, *_INVERSIONS])
+    def test_rejects_entry_above_diagonal(self, reject):
+        m = CoeffMatrix.from_rows([[F(1), F(7)], [F(2), F(1)]])
+        with pytest.raises(ValueError, match="above the diagonal") as exc:
+            reject(m)
+        assert not isinstance(exc.value, SingularMatrixError)
 
-    def test_plus_cancels(self):
-        a = BivariatePoly.from_dict({(2, 2): F(5)})
-        assert a.plus(a.times(-1)) == BivariatePoly.zero()
+    @pytest.mark.parametrize("reject", [_SPLIT, *_INVERSIONS])
+    def test_rejects_zero_diagonal(self, reject):
+        with pytest.raises(SingularMatrixError):
+            reject(CoeffMatrix.from_rows([[F(1), F(0)], [F(2), F(0)]]))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BivariatePoly.symmetric_block(0, 1)
-        with pytest.raises(ValueError):
-            BivariatePoly.power_sum(-1)
-        with pytest.raises(ValueError):
-            BivariatePoly(terms=((0, 0, F(0)),))
-        with pytest.raises(ValueError):
-            BivariatePoly(terms=((1, 0, F(1)), (0, 1, F(1))))
+    def test_shape_only_allows_zero_diagonal(self):
+        require_lower_triangular(
+            CoeffMatrix.from_rows([[F(0), F(0)], [F(2), F(0)]]), nonsingular=False
+        )
 
 
 class TestPowerSumDecomposition:

@@ -39,7 +39,7 @@ class TestStringConversion:
             assert rat_from_str(rat_to_str(q)) == q
 
     def test_from_str_rejects_garbage(self):
-        for bad in ("", "one", "3/7/2", "1.5.2"):
+        for bad in ("", "one", "3/7/2", "1.5.2", "1/0", 1, None, []):
             with pytest.raises(ValueError):
                 rat_from_str(bad)
 

@@ -9,13 +9,7 @@ from math import gcd
 import pytest
 
 from ezbasis import trilinalg
-from ezbasis.coeffs import (
-    GENERAL,
-    LOWER_TRIANGULAR,
-    CoeffMatrix,
-    build_matrix_A,
-    split_A1_A2,
-)
+from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.errors import SingularMatrixError
 from ezbasis.trilinalg import (
     det_Dij,
@@ -37,7 +31,7 @@ def _random_lower_triangular(rng: random.Random, n: int) -> CoeffMatrix:
         while diag == 0:
             diag = F(rng.randint(-50, 50), rng.randint(1, 20))
         rows.append(row + [diag] + [F(0)] * (n - i - 1))
-    return CoeffMatrix.from_rows(rows, shape_tag=LOWER_TRIANGULAR)
+    return CoeffMatrix.from_rows(rows)
 
 
 class TestInvertForward:
@@ -62,10 +56,6 @@ class TestInvertForward:
     def test_one_by_one(self):
         m = CoeffMatrix.from_rows([[F(-2, 7)]])
         assert invert_forward(m).entries[0][0] == F(-7, 2)
-
-    def test_result_is_tagged(self):
-        a1, _ = split_A1_A2(build_matrix_A(8))
-        assert invert_forward(a1).shape_tag == LOWER_TRIANGULAR
 
     def test_round_trip_random(self):
         rng = random.Random(77123)
@@ -248,13 +238,6 @@ class TestMatMul:
         ratio = mat_mul(a2, invert_forward(a1))
         diag = tuple(ratio.entries[i][i] for i in range(6))
         assert diag == (F(1), F(3, 2), F(5, 2), F(7, 2), F(9, 2), F(11, 2))
-
-    def test_tag_propagation(self):
-        a1, a2 = split_A1_A2(build_matrix_A(8))
-        assert mat_mul(a1, a2).shape_tag == LOWER_TRIANGULAR
-        loose = CoeffMatrix.from_rows(a1.entries)
-        assert loose.shape_tag == GENERAL
-        assert mat_mul(a1, loose).shape_tag == GENERAL
 
     def test_rectangular(self):
         p = CoeffMatrix.from_rows([[1, 2, 3]])
