@@ -312,9 +312,7 @@ def verify_relations_exact(N: int) -> ExactRelationReport:
     Checks the floor(N/2) relation vectors of `relation_family(N)` and
     the representations for m <= floor((N-1)/2); each must cancel to
     the zero vector over the zeta(s+j-1) symbols.  Nonzero residual
-    coordinates are reported with their origin and j index.  All
-    representations are read at the one size n' = ceil(N/2), so the
-    matrix inverse behind them is built once.
+    coordinates are reported with their origin and j index.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -326,7 +324,7 @@ def verify_relations_exact(N: int) -> ExactRelationReport:
             failures.append(f"relation {idx}: residual {v} on j = {j}")
     m_top = (N - 1) // 2
     for m in range(m_top + 1):
-        rep = basis_representation(m, n_prime=m_top + 1)
+        rep = basis_representation(m)
         residual = collapse_relation(rep.as_relation_vector())
         for j, v in sorted(residual.items()):
             failures.append(f"representation m = {m}: residual {v} on j = {j}")

@@ -26,8 +26,14 @@ _VERIFY_FORMATS = ("text", "json")
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace("i", "j")
-    return complex(cleaned.replace(" ", ""))
+    """Parse 5, 4+3j or 4+3i; only a trailing i is read as the imaginary unit."""
+    cleaned = text.strip().replace(" ", "")
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
+    try:
+        return complex(cleaned)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -72,6 +72,14 @@ def coeff_a(c: int, d: int) -> Fraction:
     return Fraction(_coeff_int(c, d))
 
 
+def coeff_row(c: int) -> tuple[int, ...]:
+    """Row c of the integer family: a_{c,d} for d = 1..ceil(c/2)."""
+    if c < 1:
+        raise ValueError("row index must satisfy c >= 1")
+    _ensure_rows(c)
+    return tuple(_coeff_rows[c - 1])
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -206,10 +214,10 @@ def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
 # power-sum verification
 
 
-def power_sum_decomposition(e: int, n_prime: int) -> tuple[Fraction, ...]:
-    """Row e+1 of the coefficient family, padded to length n_prime.
+def power_sum_decomposition(e: int) -> tuple[Fraction, ...]:
+    """Row e+1 of the coefficient family, (a_{e+1,1}, ..., a_{e+1,ceil((e+1)/2)}).
 
-    The returned vector (a_{e+1,1}, ..., a_{e+1,n_prime}) satisfies
+    The returned vector satisfies
 
         m^e + n^e = sum_d a_{e+1,d} m^(d-1) n^(d-1) (m+n)^(e-2d+2)
 
@@ -219,11 +227,7 @@ def power_sum_decomposition(e: int, n_prime: int) -> tuple[Fraction, ...]:
     """
     if e < 0:
         raise ValueError("exponent must be >= 0")
-    if n_prime < 1:
-        raise ValueError("n_prime must be >= 1")
-    if e + 1 > 2 * n_prime:
-        raise ValueError("exponent out of range: need e + 1 <= 2 * n_prime")
-    return tuple(Fraction(_coeff_int(e + 1, d)) for d in range(1, n_prime + 1))
+    return tuple(Fraction(x) for x in coeff_row(e + 1))
 
 
 @dataclass(frozen=True)
@@ -266,11 +270,11 @@ def verify_power_sum_identity(e_max: int) -> PowerSumReport:
     return PowerSumReport(e_max=e_max, checked=e_max, failures=tuple(failures))
 
 
-def tornheim_decomposition(c: int, n_prime: int) -> tuple[Fraction, ...]:
+def tornheim_decomposition(c: int) -> tuple[Fraction, ...]:
     """Halved row c+1: weights expressing the double zeta over Tornheim values.
 
-    The vector (a_{c+1,d}/2)_d satisfies, with T the Tornheim double
-    zeta function,
+    The vector (a_{c+1,d}/2) for d = 1..ceil((c+1)/2) satisfies, with T
+    the Tornheim double zeta function,
 
         zeta(-c, s+c) = sum_d (a_{c+1,d}/2) T(-d+1, -d+1; s+2d-2),
 
@@ -280,8 +284,4 @@ def tornheim_decomposition(c: int, n_prime: int) -> tuple[Fraction, ...]:
     """
     if c < 0:
         raise ValueError("c must be >= 0")
-    if n_prime < 1:
-        raise ValueError("n_prime must be >= 1")
-    if c + 1 > 2 * n_prime:
-        raise ValueError("index out of range: need c + 1 <= 2 * n_prime")
-    return tuple(Fraction(_coeff_int(c + 1, d), 2) for d in range(1, n_prime + 1))
+    return tuple(Fraction(x, 2) for x in coeff_row(c + 1))

@@ -434,10 +434,10 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     for idx, rel in enumerate(relation_family(N), start=1):
         folded_job(f"relation {idx}", rel)
     for m in range(m_top + 1):
-        rep = basis_representation(m, n_prime=m_top + 1)
+        rep = basis_representation(m)
         folded_job(f"representation m={m}", rep.as_relation_vector())
     for c in range(2 * n_prime):
-        weights = tornheim_decomposition(c, n_prime)
+        weights = tornheim_decomposition(c)
         if c == 0:
             value = ez[0].value / 2
             bound = ez[0].tail_bound / 2

@@ -11,9 +11,8 @@ BasisRepresentation folds it away and speaks about zeta(0,s) itself.
 Two independent derivations of the same basis coefficients exist:
 
 * `basis_representation` reads them off a row of A2 * A1^(-1), pure
-  exact linear algebra on the coefficient matrix of one family size,
-  whose triangular inverses are built once and shared with
-  `relation_family`;
+  exact linear algebra on the integer coefficient rows, by one
+  back-substitution against A1 with no inverse built;
 * `residue_system_representation` never touches the matrix and instead
   matches pole residues of the meromorphic continuations, walking the
   shared pole locations from the lowest up and solving one linear
@@ -27,11 +26,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
-from .coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
+from .coeffs import build_matrix_A, coeff_row, split_A1_A2
 from .errors import VerificationError
 from .exactnum import gen_binomial, rat_to_str
 from .trilinalg import invert_forward
@@ -112,47 +109,6 @@ class RelationVector:
         return (head,) + self.coefficients[1:]
 
 
-class _Family:
-    """A1 and A2 of the size-2n' coefficient matrix, inverses on demand.
-
-    `basis_representation` reads only A2 and the integer columns of
-    A1^(-1), `relation_family` both inverses; each inverse is built at
-    most once per size.
-    """
-
-    def __init__(self, n_prime: int) -> None:
-        self.a1, self.a2 = split_A1_A2(build_matrix_A(2 * n_prime))
-
-    @cached_property
-    def inv1(self) -> CoeffMatrix:
-        return invert_forward(self.a1)
-
-    @cached_property
-    def inv2(self) -> CoeffMatrix:
-        return invert_forward(self.a2)
-
-    @cached_property
-    def inv1_columns(self) -> list[tuple[int, list[int]]]:
-        """Column k of A1^(-1), rows k.. only, as (lcm denominator, numerators)."""
-        rows = self.inv1.entries
-        cols = []
-        for k in range(len(rows)):
-            col = [rows[l][k] for l in range(k, len(rows))]
-            den = lcm(*(x.denominator for x in col))
-            cols.append((den, [x.numerator * (den // x.denominator) for x in col]))
-        return cols
-
-
-@lru_cache(maxsize=1)
-def _family(n_prime: int) -> _Family:
-    """The family of half-size n'.
-
-    One entry suffices: a verify run asks for one size, or for two
-    sizes one after the other when N is odd.
-    """
-    return _Family(n_prime)
-
-
 def relation_family(N: int) -> list[RelationVector]:
     """All N' relations of the size-N family, one per matrix row.
 
@@ -163,13 +119,15 @@ def relation_family(N: int) -> list[RelationVector]:
     if N < 2:
         raise ValueError("N must be >= 2")
     n_prime = N // 2
-    fam = _family(n_prime)
+    a1, a2 = split_A1_A2(build_matrix_A(N))
+    inv1 = invert_forward(a1).entries
+    inv2 = invert_forward(a2).entries
     out = []
     for i in range(n_prime):
         coeffs = [Fraction(0)] * (2 * n_prime)
         for k in range(n_prime):
-            coeffs[2 * k] = fam.inv1.entries[i][k]
-            coeffs[2 * k + 1] = -fam.inv2.entries[i][k]
+            coeffs[2 * k] = inv1[i][k]
+            coeffs[2 * k + 1] = -inv2[i][k]
         out.append(RelationVector(coefficients=tuple(coeffs), provenance=MATRIX_PATH))
     return out
 
@@ -241,32 +199,44 @@ class BasisRepresentation:
         return f"{self.target_label} = {render_combination(self._terms())}"
 
 
-def basis_representation(m: int, n_prime: int | None = None) -> BasisRepresentation:
+def basis_representation(m: int) -> BasisRepresentation:
     """Basis coefficients for zeta(-2m-1, s+2m+1) from the matrix path.
 
-    Takes A2 and A1^(-1) of the family at size n_prime (default m+1;
-    any larger size gives the same answer, so callers covering many m
-    pass one shared size and the inverse is built once) and computes
-    only row m+1 of A2 * A1^(-1).  Both factors are lower triangular,
-    so with 0-based indices entry k of that row sums
-    A2[m][l] * A1^(-1)[l][k] over k <= l <= m: one integer dot product
-    of A2's integer row with the integer column k of A1^(-1), and one
-    Fraction per entry.  The entries weight (zeta(0,s)/2,
-    zeta(-2,s+2), ...), so the first entry is halved into gamma[0].
+    The coefficients are row m+1 of A2 * A1^(-1), found without the
+    inverse by solving x * A1 = (row m+1 of A2).  Both halves are lower
+    triangular, so only the leading (m+1) x (m+1) block of A1 takes
+    part: its row l is the integer row a_{2l+1,.} and the target is
+    a_{2m+2,.}, both read from `coeff_row`.  Back-substitution runs
+    from x_m down to x_0, keeping x as integer numerators over one
+    common denominator; the pivots are A1's diagonal entries (+-1 or
+    +-2), and a zero pivot raises VerificationError.  The entries
+    weight (zeta(0,s)/2, zeta(-2,s+2), ...), so x_0 is halved into
+    gamma[0].
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    size = m + 1 if n_prime is None else n_prime
-    if size < m + 1:
-        raise ValueError("n_prime must be at least m + 1")
-    fam = _family(size)
-    # A2 holds the even rows of the integer family a_{c,d}
-    a2_ints = [x.numerator for x in fam.a2.entries[m][: m + 1]]
-    row = [
-        Fraction(sum(map(mul, a2_ints[k:], col)), den)
-        for k, (den, col) in enumerate(fam.inv1_columns[: m + 1])
-    ]
-    gamma = [row[0] / 2] + row[1:]
+    a1 = [coeff_row(2 * l + 1) for l in range(m + 1)]
+    target = coeff_row(2 * m + 2)
+    num = [0] * (m + 1)
+    den = 1
+    for k in range(m, -1, -1):
+        rhs = den * target[k] - sum(num[l] * a1[l][k] for l in range(k + 1, m + 1))
+        piv = a1[k][k]
+        if piv == 0:
+            raise VerificationError(
+                f"zero pivot a_{{{2 * k + 1},{k + 1}}} at diagonal position "
+                f"{k + 1} of A1 in the solve for m = {m}"
+            )
+        g = gcd(rhs, piv)
+        rhs //= g
+        piv //= g
+        if abs(piv) == 1:
+            num[k] = rhs * piv
+        else:
+            num = [x * piv for x in num]
+            num[k] = rhs
+            den *= piv
+    gamma = [Fraction(num[0], 2 * den)] + [Fraction(x, den) for x in num[1:]]
     return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=MATRIX_PATH)
 
 

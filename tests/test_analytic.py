@@ -236,7 +236,7 @@ def _corrupted(rel, position, delta):
 
 def _vectors_n100():
     rels = relation_family(100)
-    reps = [basis_representation(m, n_prime=50).as_relation_vector() for m in range(50)]
+    reps = [basis_representation(m).as_relation_vector() for m in range(50)]
     corrupted = [
         # position 0 stands for zeta(0,s)/2: pins the halving
         _corrupted(rels[9], 0, F(1, 3)),
@@ -272,7 +272,7 @@ class TestCollapseAgainstFractionLoop:
         for module in (relations, analytic):
             monkeypatch.setattr(module, "basis_representation", refuse)
         monkeypatch.setattr(relations, "invert_forward", refuse)
-        monkeypatch.setattr(relations, "_family", refuse)
+        monkeypatch.setattr(relations, "coeff_row", refuse)
         monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)
         zeta_shift_expansion.cache_clear()
         for rel in exact:

@@ -295,6 +295,24 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "ezbasis: tol must be finite, got inf\n"
 
+    @pytest.mark.parametrize("s", ["inf", "infj", "nan"])
+    def test_numeric_non_finite_s_rejected(self, capsys, s):
+        # only a trailing i is the imaginary unit, so "inf" reaches the library
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--mode", "numeric",
+            "--s", s, "--cutoff", "100", "--tol", "1e-6",
+        )
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
+
+    def test_numeric_garbage_s_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--mode", "numeric", "--s", "abc",
+        )
+        assert (code, out) == (2, "")
+        assert "argument --s: not a complex number: 'abc'" in err
+        assert "_parse_complex" not in err
+
     @pytest.mark.parametrize("s", ["1e300", "1100", "1070"])
     def test_numeric_huge_real_s_rejected(self, capsys, s):
         # at n = 6 the largest shift is 5, and 2^-(1070+5) is 0.0 in

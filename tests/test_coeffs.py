@@ -13,6 +13,7 @@ from ezbasis.coeffs import (
     CoeffMatrix,
     build_matrix_A,
     coeff_a,
+    coeff_row,
     power_sum_decomposition,
     require_lower_triangular,
     split_A1_A2,
@@ -61,6 +62,16 @@ class TestCoeffA:
 
     def test_returns_fraction(self):
         assert isinstance(coeff_a(5, 2), F)
+
+    def test_coeff_row_is_the_band(self):
+        assert coeff_row(12) == (1, -11, 44, -77, 55, -11)
+        for c in range(1, 40):
+            row = coeff_row(c)
+            assert len(row) == (c + 1) // 2
+            assert all(type(x) is int for x in row)
+            assert row == tuple(coeff_a(c, d) for d in range(1, len(row) + 1))
+        with pytest.raises(ValueError):
+            coeff_row(0)
 
 
 class TestBuildMatrix:
@@ -207,17 +218,14 @@ class TestTriangularCheck:
 class TestPowerSumDecomposition:
     def test_small_cases(self):
         # m + n = (m+n):  row 2 is (1)
-        assert power_sum_decomposition(1, 1) == (F(1),)
+        assert power_sum_decomposition(1) == (F(1),)
         # m^3 + n^3 = (m+n)^3 - 3mn(m+n):  row 4 is (1, -3)
-        assert power_sum_decomposition(3, 2) == (F(1), F(-3))
-        # padding on the right with zeros
-        assert power_sum_decomposition(3, 4) == (F(1), F(-3), F(0), F(0))
+        assert power_sum_decomposition(3) == (F(1), F(-3))
 
     def test_identity_by_evaluation(self):
         rng = random.Random(5150123)
         for e in range(1, 61):
-            n_prime = (e + 2) // 2
-            coeffs = power_sum_decomposition(e, n_prime)
+            coeffs = power_sum_decomposition(e)
             for _ in range(50):
                 m = F(rng.randint(1, 1000))
                 n = F(rng.randint(1, 1000))
@@ -230,9 +238,7 @@ class TestPowerSumDecomposition:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            power_sum_decomposition(-1, 1)
-        with pytest.raises(ValueError):
-            power_sum_decomposition(5, 2)  # needs 2 * n_prime >= 6
+            power_sum_decomposition(-1)
 
 
 class TestVerifyPowerSum:
@@ -264,18 +270,16 @@ class TestVerifyPowerSum:
 
 class TestTornheimDecomposition:
     def test_c_zero_is_halved_row_one(self):
-        assert tornheim_decomposition(0, 1) == (F(1, 2),)
+        assert tornheim_decomposition(0) == (F(1, 2),)
 
     def test_c_two_is_halved_row_three(self):
         # m^2 + n^2 = (m+n)^2 - 2mn, then halve
-        assert tornheim_decomposition(2, 2) == (F(1, 2), F(-1))
+        assert tornheim_decomposition(2) == (F(1, 2), F(-1))
 
     def test_c_eleven_is_halved_row_twelve(self):
         expected = tuple(F(x, 2) for x in (1, -11, 44, -77, 55, -11))
-        assert tornheim_decomposition(11, 6) == expected
+        assert tornheim_decomposition(11) == expected
 
-    def test_width_check(self):
+    def test_bad_argument(self):
         with pytest.raises(ValueError):
-            tornheim_decomposition(11, 5)
-        with pytest.raises(ValueError):
-            tornheim_decomposition(-1, 3)
+            tornheim_decomposition(-1)

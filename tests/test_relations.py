@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
 
+from ezbasis import coeffs, relations, trilinalg
 from ezbasis.coeffs import build_matrix_A, split_A1_A2
 from ezbasis.errors import VerificationError
 from ezbasis.relations import (
@@ -100,14 +102,6 @@ class TestBasisRepresentation:
             g = basis_representation(m).gamma
             assert 2 * g[0] + sum(g[1:]) == 1
 
-    def test_enlarged_matrix_same_answer(self):
-        for m in range(6):
-            assert basis_representation(m, n_prime=m + 10) == basis_representation(m)
-
-    def test_n_prime_too_small(self):
-        with pytest.raises(ValueError):
-            basis_representation(4, n_prime=3)
-
     def test_negative_m(self):
         with pytest.raises(ValueError):
             basis_representation(-1)
@@ -157,8 +151,8 @@ class TestBasisRepresentation:
 
 
 def _gamma_reference(size):
-    # row m of A2 * A1^(-1) by Fraction sums, the loop the integer
-    # column kernel replaced, for every m < size
+    # row m of A2 * A1^(-1) by Fraction sums over the full inverse,
+    # the product the back-substitution replaced, for every m < size
     a1, a2 = split_A1_A2(build_matrix_A(2 * size))
     inv1 = invert_forward(a1).entries
     out = []
@@ -173,16 +167,52 @@ def _gamma_reference(size):
 
 
 class TestRowKernelAgainstFractionLoop:
-    def test_shared_size_50(self):
+    def test_default_size(self):
+        # row m of A2 * A1^(-1) is the same at every size above m, so
+        # one size-50 reference serves every m < 50
         for m, ref in enumerate(_gamma_reference(50)):
-            gamma = basis_representation(m, n_prime=50).gamma
+            gamma = basis_representation(m).gamma
             assert gamma == ref, f"m = {m}"
             assert all(type(g) is F for g in gamma)
 
-    def test_default_size(self):
-        # any size >= m+1 gives the same row, so one reference serves
-        for m, ref in enumerate(_gamma_reference(50)):
+    def test_builds_no_inverse(self, monkeypatch):
+        reference = _gamma_reference(50)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("basis_representation must not invert a matrix")
+
+        for name, obj in vars(trilinalg).items():
+            if inspect.isfunction(obj) and obj.__module__ == trilinalg.__name__:
+                monkeypatch.setattr(trilinalg, name, refuse)
+        monkeypatch.setattr(relations, "invert_forward", refuse)
+        for m, ref in enumerate(reference):
             assert basis_representation(m).gamma == ref, f"m = {m}"
+
+
+def _corrupt_row(monkeypatch, c, d, value):
+    # a copy of the family with a_{c,d} replaced; rows 1..12 are built first
+    coeffs.coeff_a(12, 1)
+    rows = [list(r) for r in coeffs._coeff_rows]
+    rows[c - 1][d - 1] = value
+    monkeypatch.setattr(coeffs, "_coeff_rows", rows)
+
+
+class TestBackSubstitutionSafety:
+    def test_zero_pivot_is_reported(self, monkeypatch):
+        # a_{7,4} is the fourth diagonal entry of A1
+        _corrupt_row(monkeypatch, 7, 4, 0)
+        with pytest.raises(VerificationError, match=r"a_\{7,4\}.*position 4"):
+            basis_representation(5)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_corrupted_a2_entry_is_caught(self, monkeypatch, d):
+        # row 12 of the family is row 6 of A2, the target row for m = 5
+        _corrupt_row(monkeypatch, 12, d, coeffs.coeff_a(12, d).numerator + 1)
+        try:
+            rep = basis_representation(5)
+        except VerificationError:
+            return
+        assert rep.gamma != residue_system_representation(5).gamma
 
 
 class TestResiduePath:
