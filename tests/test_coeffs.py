@@ -280,6 +280,9 @@ class TestTornheimDecomposition:
         expected = tuple(F(x, 2) for x in (1, -11, 44, -77, 55, -11))
         assert tornheim_decomposition(11) == expected
 
-    def test_bad_argument(self):
+    def test_width_check(self):
+        # row c+1 of the family has ceil((c+1)/2) entries
+        for c in range(40):
+            assert len(tornheim_decomposition(c)) == (c + 2) // 2
         with pytest.raises(ValueError):
             tornheim_decomposition(-1)

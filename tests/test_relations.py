@@ -102,6 +102,12 @@ class TestBasisRepresentation:
             g = basis_representation(m).gamma
             assert 2 * g[0] + sum(g[1:]) == 1
 
+    def test_enlarged_matrix_same_answer(self):
+        # row m of A2 * A1^(-1) does not change when the matrix grows
+        for m in range(6):
+            for size in (m + 1, m + 4, m + 10):
+                assert basis_representation(m).gamma == _gamma_reference(size)[m]
+
     def test_negative_m(self):
         with pytest.raises(ValueError):
             basis_representation(-1)
@@ -167,13 +173,20 @@ def _gamma_reference(size):
 
 
 class TestRowKernelAgainstFractionLoop:
-    def test_default_size(self):
+    def test_shared_size_50(self):
         # row m of A2 * A1^(-1) is the same at every size above m, so
         # one size-50 reference serves every m < 50
         for m, ref in enumerate(_gamma_reference(50)):
             gamma = basis_representation(m).gamma
             assert gamma == ref, f"m = {m}"
             assert all(type(g) is F for g in gamma)
+
+    def test_default_size(self):
+        # the same rows walked from the top down: no call depends on
+        # an earlier one
+        reference = _gamma_reference(50)
+        for m in reversed(range(50)):
+            assert basis_representation(m).gamma == reference[m], f"m = {m}"
 
     def test_builds_no_inverse(self, monkeypatch):
         reference = _gamma_reference(50)
