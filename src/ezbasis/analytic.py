@@ -14,7 +14,9 @@ independence assumption about the symbols zeta(s+j-1) is needed for
 that direction, which is the only one used.  The collapse reads nothing
 but these expansions: it never touches the coefficient matrix or its
 inverses, so it checks the matrix path rather than repeating it.  It
-adds integer numerators over one common denominator per relation.
+adds integer numerators over one common denominator per relation, and
+takes each expansion in the same integer form, built from the Bernoulli
+numerators without an intermediate `Fraction`.
 
 The same expansion independently reproduces the pole catalog: each
 zeta(s+j-1) contributes a simple pole at s = 2-j with residue q_j, so
@@ -28,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import VerificationError
-from .exactnum import faulhaber, gen_binomial, rat_to_str, zeta_neg
+from .exactnum import _faulhaber_ints, faulhaber, gen_binomial, rat_to_str, zeta_neg
 from .relations import (
     BasisRepresentation,
     RelationVector,
@@ -276,10 +278,16 @@ class ExactRelationReport:
 
 @cache
 def _expansion_ints(c: int) -> tuple[int, tuple[int, ...]]:
-    """zeta_shift_expansion(c).q as (common denominator, integer numerators)."""
-    q = zeta_shift_expansion(c).q
-    den = lcm(*(x.denominator for x in q))
-    return den, tuple(x.numerator * (den // x.denominator) for x in q)
+    """zeta_shift_expansion(c).q as (least common denominator, integer numerators).
+
+    Truncates the Faulhaber numerators as `zeta_shift_expansion` does
+    and divides out their gcd with the denominator, without building
+    a `Fraction`; the anchors were checked by `_faulhaber_ints`.
+    """
+    den, nums = _faulhaber_ints(c)
+    q = nums if c == 0 else nums[: c + 1]
+    g = gcd(den, *q)
+    return den // g, tuple(x // g for x in q)
 
 
 def collapse_relation(rel: RelationVector) -> dict[int, Fraction]:

@@ -5,7 +5,8 @@ output formats (text, json, latex, csv) where they make sense; verify
 supports text and json.  Exit codes: 0 success or verification pass,
 1 verification failure, 2 usage, precondition or output-file error.
 Each handler reads the parsed argparse namespace directly, so every
-default is stated once, in the parser.
+default, and every ceiling on a single size option, is stated once, in
+the parser; a size above its ceiling exits 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .relations import function_label, render_combination
 
 _FORMATS = ("text", "json", "latex", "csv")
 _VERIFY_FORMATS = ("text", "json")
+# numeric verification sums about N series of `cutoff` terms each, at
+# roughly a microsecond per term at a complex point
+_NUMERIC_WORK_CEILING = 4 * 10**7
 
 
 def _parse_complex(text: str) -> complex:
@@ -34,6 +38,46 @@ def _parse_complex(text: str) -> complex:
         return complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None
+
+
+def _at_most(ceiling: int, reason: str):
+    """argparse type: an int no larger than `ceiling`, else exit 2 with `reason`.
+
+    Lower limits stay with the library, which states them itself.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(
+                f"{value} is above the ceiling {ceiling} ({reason})"
+            )
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = "int"
+    return parse
+
+
+# a value such as -inf or -4+3i starts with '-' but is not a plain
+# negative number, so argparse would read it as an option
+_SIGNED_VALUE_OPTIONS = ("--s", "--tol")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite `--s -inf` as `--s=-inf`, and likewise for --tol."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in _SIGNED_VALUE_OPTIONS and nxt[:1] == "-" and nxt[:2] != "--":
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,39 +97,48 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write to this file instead of stdout")
 
     sp = sub.add_parser("matrix", help="build the full coefficient matrix")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True,
+                    type=_at_most(800, "a larger matrix needs over 150 MB to render"))
     common(sp)
 
     sp = sub.add_parser("invert", help="invert one triangular submatrix")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True,
+                    type=_at_most(600, "a larger inverse needs over 200 MB to render"))
     sp.add_argument("--which", choices=("a1", "a2"), default="a1")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the cofactor algorithm")
     common(sp)
 
     sp = sub.add_parser("relations", help="the Q-linear relation family")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True,
+                    type=_at_most(600, "two inversions grow like N^4"))
     common(sp)
 
     sp = sub.add_parser("basis", help="basis representation of one odd-index member")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", required=True,
+                    type=_at_most(800, "near m = 920 a coefficient passes the "
+                                       "4300-digit int-to-str limit"))
     common(sp)
 
     sp = sub.add_parser("poles", help="pole/residue catalog of one member")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True,
+                    type=_at_most(1500, "the Bernoulli numbers cost about n^3.5"))
     common(sp)
 
     sp = sub.add_parser("expand", help="expansion over shifted Riemann zetas")
-    sp.add_argument("--c", type=int, required=True)
+    sp.add_argument("--c", required=True,
+                    type=_at_most(1500, "the Bernoulli numbers cost about c^3.5"))
     common(sp)
 
     sp = sub.add_parser("verify", help="run the verification suites")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True,
+                    type=_at_most(600, "exact verification grows like N^4"))
     sp.add_argument("--mode", dest="verify_mode",
                     choices=("exact", "numeric", "all"), default="exact")
     sp.add_argument("--s", dest="s_point", type=_parse_complex, default=complex(5.0),
                     help="evaluation point for numeric mode, e.g. 5 or 4+3j")
-    sp.add_argument("--cutoff", type=int, default=100000)
+    sp.add_argument("--cutoff", type=_at_most(10**6, "each series sums cutoff terms"),
+                    default=100000)
     sp.add_argument("--tol", type=float, default=1e-6)
     common(sp)
 
@@ -256,6 +309,11 @@ def _verify_numeric(ns: argparse.Namespace) -> tuple[list[str], dict, bool]:
 def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
     if ns.fmt not in _VERIFY_FORMATS:
         raise ValueError(f"verify supports formats {_VERIFY_FORMATS}, not {ns.fmt!r}")
+    if ns.verify_mode != "exact" and ns.n * ns.cutoff > _NUMERIC_WORK_CEILING:
+        raise ValueError(
+            f"--n {ns.n} times --cutoff {ns.cutoff} is above the ceiling "
+            f"{_NUMERIC_WORK_CEILING:.0e} of numeric verification; lower either"
+        )
     lines: list[str] = []
     obj: dict = {"mode": ns.verify_mode, "n": ns.n}
     ok = True
@@ -290,7 +348,7 @@ def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)

@@ -14,9 +14,12 @@ row index minus one.  Row 1 is the degenerate constant row and is
 carried with a factor 1/2 by convention (it books the function family's
 index-0 member at half weight), so the power-sum verification below
 starts at exponent 1.  Both sides of that identity are homogeneous of
-degree r-1, so the verification compares their integer coefficient
-vectors of length r, built with `math.comb` from the integer rows of
-a_{c,d}.
+degree r-1, so setting n = 1 loses nothing, and the verification
+checks the resulting one-variable integer polynomial identity by
+Kronecker substitution: it evaluates both sides at m = 2^k, reading
+only the integer rows of a_{c,d}, with k chosen so large that every
+coefficient of their difference fits in one base-2^k digit.  Equal
+values then mean equal polynomials.
 
 The matrix A for parameter N stacks rows 1..2N' over columns 1..N'
 with N' = floor(N/2).  Odd rows form the lower-triangular A1, even
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import SingularMatrixError
 from .exactnum import rat_from_str, rat_to_str
@@ -244,13 +246,26 @@ class PowerSumReport:
 
 
 def verify_power_sum_identity(e_max: int) -> PowerSumReport:
-    """Expand each decomposition and compare it with m^e + n^e.
+    """Check each decomposition against m^e + n^e by Kronecker substitution.
 
     Runs e = 1..e_max (exponent 0 is the halved constant row, see
     `power_sum_decomposition`).  Both sides are homogeneous of degree
-    e, so each is the integer vector of its m^i n^(e-i) coefficients,
-    i = 0..e: block d adds a_{e+1,d} * binom(e-2d+2, t) at i = d-1+t.
-    Each failing exponent is recorded in the report rather than
+    e, so the identity holds if and only if it holds at n = 1 as a
+    polynomial identity in x = m:
+
+        x^e + 1 = sum_d a_{e+1,d} x^(d-1) (1+x)^(e-2d+2).
+
+    The right side is built Horner-style at x = X = 2^k, with
+    G <- G (1+X)^2 + a_{e+1,d} X^(d-1) for d = 1..D as shifts and adds,
+    then times (1+X) once more when e is odd, and G is compared with
+    X^e + 1.  By C(p, t) <= 2^p, every coefficient of the difference
+    polynomial is at most B = sum_d |a_{e+1,d}| 2^(e-2d+2) + 2 in
+    absolute value, and k is chosen with 2^k >= 2B.  A nonzero
+    polynomial with all coefficients below X/2 in absolute value does
+    not vanish at X (its lowest nonzero coefficient is not divisible
+    by X), so the evaluation is as strong as comparing coefficient
+    vectors.  Only the rows are read, never the recurrence that built
+    them.  Each failing exponent is recorded in the report rather than
     raised, so a single bad row cannot mask later ones.
     """
     if e_max < 1:
@@ -258,14 +273,22 @@ def verify_power_sum_identity(e_max: int) -> PowerSumReport:
     _ensure_rows(e_max + 1)
     failures = []
     for e in range(1, e_max + 1):
-        acc = [0] * (e + 1)
-        for d, coef in enumerate(_coeff_rows[e], start=1):
-            if coef == 0:
-                continue
-            p = e - 2 * d + 2
-            for t in range(p + 1):
-                acc[d - 1 + t] += coef * comb(p, t)
-        if acc != [1] + [0] * (e - 1) + [1]:
+        row = _coeff_rows[e]
+        tail = e + 2 - 2 * len(row)
+        if tail < 0:
+            # a block with a negative power of (m+n) is not a polynomial
+            failures.append(e)
+            continue
+        # d counts from 0 below, so a = a_{e+1,d+1} and its power of (1+X) is e-2d
+        bound = sum(abs(a) << (e - 2 * d) for d, a in enumerate(row)) + 2
+        k = (2 * bound).bit_length()
+        k1, k2 = k + 1, 2 * k
+        g = 0
+        for d, a in enumerate(row):
+            g += (g << k2) + (g << k1) + (a << (k * d))
+        for _ in range(tail):
+            g += g << k
+        if g != (1 << (k * e)) + 1:
             failures.append(e)
     return PowerSumReport(e_max=e_max, checked=e_max, failures=tuple(failures))
 

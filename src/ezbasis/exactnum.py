@@ -5,14 +5,15 @@ non-positive integers, generalized binomial coefficients, and power-sum
 Everything in this module is exact.  Rationals are `fractions.Fraction`
 at every interface; no float ever enters or leaves.  The inner loops do
 not add `Fraction`s, because each such add runs a gcd: the Bernoulli
-recurrence and Faulhaber evaluation accumulate integer numerators over
-one common denominator and build one `Fraction` per result.  The
-Bernoulli cache grows deterministically, a call for B_n filling the
-table up to n once.
+recurrence, the Faulhaber coefficients and Faulhaber evaluation work on
+integer numerators over one common denominator and build one `Fraction`
+per result.  The Bernoulli cache grows deterministically, a call for
+B_n filling the table up to n once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -40,7 +41,29 @@ def rat_from_str(s: str) -> Fraction:
         raise ValueError(f"not a rational literal: {s!r}") from exc
 
 
+def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Rationals as (lcm of their denominators, integer numerators over it)."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 _bern_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# the integer form (den, nums) of the cache, beside a copy of the cache
+# it was derived from, so that a replaced cache or entry is noticed
+_bern_ints: tuple[list[Fraction], int, list[int]] = ([], 1, [])
+
+
+def _bernoulli_ints() -> tuple[int, list[int]]:
+    """Every cached B_k as (common denominator, integer numerators).
+
+    `_bern_cache` stays the one source of the values: the stored integer
+    form is derived again whenever the cache no longer equals the copy
+    it was derived from.  Callers must not mutate the returned list.
+    """
+    global _bern_ints
+    if _bern_ints[0] != _bern_cache:
+        _bern_ints = (list(_bern_cache), *_over_lcm(_bern_cache))
+    return _bern_ints[1], _bern_ints[2]
 
 
 def bernoulli(n: int) -> Fraction:
@@ -49,14 +72,16 @@ def bernoulli(n: int) -> Fraction:
     Computed by the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
     and cached, so a call for B_n fills the table up to n once.  The
     fill keeps every cached B_k as an integer numerator over the lcm
-    of their denominators, so each step is one integer dot product.
+    of their denominators, so each step is one integer dot product,
+    and stores that integer form for `_bernoulli_ints`.
     """
+    global _bern_ints
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if len(_bern_cache) <= n:
         # B_k = nums[k] / den for every cached k
-        den = lcm(*(b.denominator for b in _bern_cache))
-        nums = [b.numerator * (den // b.denominator) for b in _bern_cache]
+        den, nums = _bernoulli_ints()
+        nums = list(nums)
         for m in range(len(_bern_cache), n + 1):
             # sum_{k=0}^{m} C(m+1, k) B_k = 0, solved for B_m
             acc = sum(comb(m + 1, k) * x for k, x in enumerate(nums) if x)
@@ -67,6 +92,7 @@ def bernoulli(n: int) -> Fraction:
                 nums = [x * scale for x in nums]
                 den *= scale
             nums.append(b.numerator * (den // b.denominator))
+        _bern_ints = (list(_bern_cache), den, nums)
     return _bern_cache[n]
 
 
@@ -134,11 +160,40 @@ class FaulhaberPoly:
 
     def eval_at(self, n: int) -> Fraction:
         """S_c(n) by Horner's rule on integer numerators over one denominator."""
-        den = lcm(*(x.denominator for x in self.coeffs))
+        den, nums = _over_lcm(self.coeffs)
         acc = 0
-        for coef in self.coeffs:
-            acc = acc * n + coef.numerator * (den // coef.denominator)
+        for x in nums:
+            acc = acc * n + x
         return Fraction(acc, den)
+
+
+def _faulhaber_ints(c: int) -> tuple[int, list[int]]:
+    """Coefficients of `faulhaber(c)` as (common denominator D, numerators).
+
+    Builds no `Fraction`.  The anchors are checked on the integers:
+    leading coefficient 1/(c+1), S_c(1) = 0, S_c(2) = 1 and, for
+    c >= 1, the coefficient -1/2 of n^c.  A corrupted Bernoulli value
+    B_i, i <= c, breaks S_c(1) = 0 and raises ValueError.
+    """
+    if c < 0:
+        raise ValueError("exponent must be >= 0")
+    bernoulli(c)
+    bden, bnums = _bernoulli_ints()
+    den = bden * (c + 1)
+    nums = [comb(c + 1, i) * bnums[i] for i in range(c + 1)]
+    nums.append(-den if c == 0 else 0)
+    if nums[0] * (c + 1) != den:
+        raise ValueError("leading coefficient must be 1/(c+1)")
+    if sum(nums) != 0:
+        raise ValueError("empty sum at n = 1 must vanish")
+    acc = 0
+    for x in nums:
+        acc = 2 * acc + x
+    if acc != den:
+        raise ValueError("sum at n = 2 must equal 1")
+    if c >= 1 and 2 * nums[1] != -den:
+        raise ValueError("coefficient of n^c must be -1/2")
+    return den, nums
 
 
 def faulhaber(c: int) -> FaulhaberPoly:
@@ -148,12 +203,5 @@ def faulhaber(c: int) -> FaulhaberPoly:
     i = 0..c, with constant term 0; for c = 0 the constant is adjusted
     by -1 because the m = 0 term does not appear in S_0(n) = n - 1.
     """
-    if c < 0:
-        raise ValueError("exponent must be >= 0")
-    coeffs = [Fraction(0)] * (c + 2)
-    for i in range(c + 1):
-        b = bernoulli(i)
-        coeffs[i] = Fraction(comb(c + 1, i) * b.numerator, b.denominator * (c + 1))
-    if c == 0:
-        coeffs[1] -= 1
-    return FaulhaberPoly(c=c, coeffs=tuple(coeffs))
+    den, nums = _faulhaber_ints(c)
+    return FaulhaberPoly(c=c, coeffs=tuple(Fraction(x, den) for x in nums))

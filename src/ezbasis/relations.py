@@ -30,7 +30,7 @@ from math import gcd
 
 from .coeffs import build_matrix_A, coeff_row, split_A1_A2
 from .errors import VerificationError
-from .exactnum import gen_binomial, rat_to_str
+from .exactnum import _over_lcm, gen_binomial, rat_to_str
 from .trilinalg import invert_forward
 
 MATRIX_PATH = "matrix_path"
@@ -91,7 +91,9 @@ class RelationVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "coefficients", tuple(Fraction(x) for x in self.coefficients)
+            self,
+            "coefficients",
+            tuple(x if type(x) is Fraction else Fraction(x) for x in self.coefficients),
         )
         if all(x == 0 for x in self.coefficients):
             raise ValueError("relation must have a nonzero coefficient")
@@ -150,7 +152,11 @@ class BasisRepresentation:
     provenance: str = MATRIX_PATH
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", tuple(Fraction(x) for x in self.gamma))
+        object.__setattr__(
+            self,
+            "gamma",
+            tuple(x if type(x) is Fraction else Fraction(x) for x in self.gamma),
+        )
         if self.m < 0:
             raise ValueError("m must be >= 0")
         if self.provenance not in _PROVENANCES:
@@ -161,7 +167,9 @@ class BasisRepresentation:
             raise VerificationError(
                 f"leading coefficient must be (2m+1)/2, got {self.gamma[self.m]}"
             )
-        if 2 * self.gamma[0] + sum(self.gamma[1:], Fraction(0)) != 1:
+        # the balance as one integer sum over the lcm of the denominators
+        den, nums = _over_lcm(self.gamma)
+        if 2 * nums[0] + sum(nums[1:]) != den:
             raise VerificationError("residue balance 2*gamma_0 + sum gamma_2k = 1 violated")
 
     @property

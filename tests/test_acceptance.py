@@ -94,10 +94,10 @@ def test_criterion_03_two_paths_agree():
 
 
 def test_criterion_04_power_sum_identity():
-    with criterion(4, "symbolic power-sum identity e <= 200", budget=60.0):
-        report = verify_power_sum_identity(200)
+    with criterion(4, "symbolic power-sum identity e <= 400", budget=60.0):
+        report = verify_power_sum_identity(400)
         assert report.ok
-        assert report.checked == 200
+        assert report.checked == 400
 
 
 def test_criterion_05_inverse_row_sums():

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import inspect
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 import ezbasis.analytic as analytic
+import ezbasis.exactnum as exactnum
 import ezbasis.relations as relations
 import ezbasis.trilinalg as trilinalg
 from ezbasis.analytic import (
@@ -164,6 +166,22 @@ class TestZetaShiftExpansion:
         assert e.term_label(1) == "zeta(s)"
         assert e.term_label(2) == "zeta(s+1)"
         assert e.term_label(3) == "zeta(s+2)"
+
+    def test_integer_form_matches_the_expansion(self):
+        for c in range(151):
+            den, nums = analytic._expansion_ints(c)
+            assert gcd(den, *nums) == 1
+            assert tuple(F(x, den) for x in nums) == zeta_shift_expansion(c).q
+
+    def test_integer_form_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the integer expansion must not build a Fraction")
+
+        exactnum.bernoulli(60)
+        expected = [analytic._expansion_ints(c) for c in range(61)]
+        monkeypatch.setattr(exactnum, "Fraction", refuse)
+        monkeypatch.setattr(analytic, "Fraction", refuse)
+        assert [analytic._expansion_ints.__wrapped__(c) for c in range(61)] == expected
 
     def test_json(self):
         assert zeta_shift_expansion(2).to_json_dict() == {

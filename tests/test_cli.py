@@ -338,6 +338,89 @@ class TestVerify:
         assert code == 2
         assert "verify supports" in err
 
+    def test_negative_non_finite_s_is_a_value(self, capsys):
+        # "-inf" starts with '-', yet it is the value of --s, not an option
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--mode", "numeric", "--s", "-inf",
+        )
+        assert (code, out) == (2, "")
+        assert "s must be finite" in err
+
+    @pytest.mark.parametrize("form", [["--s", "-4+3i"], ["--s=-4+3i"]])
+    def test_negative_complex_s_reaches_the_margin_check(self, capsys, form):
+        code, out, err = run_cli(capsys, "verify", "--n", "6", "--mode", "numeric", *form)
+        assert (code, out) == (2, "")
+        assert err == "ezbasis: Re(s) must exceed 2.1 (convergence margin), got -4.0\n"
+
+    def test_negative_non_finite_tol_is_a_value(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--mode", "numeric", "--tol", "-inf",
+        )
+        assert (code, out, err) == (2, "", "ezbasis: tol must be positive\n")
+
+    def test_s_without_value_still_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "6", "--s", "--mode", "numeric")
+        assert code == 2
+        assert "argument --s: expected one argument" in err
+
+
+# (command and size option, ceiling); every case is rejected while the
+# arguments are parsed, so no size above a ceiling is ever computed
+_CEILINGS = [
+    (("matrix", "--n"), 800),
+    (("invert", "--n"), 600),
+    (("relations", "--n"), 600),
+    (("basis", "--m"), 800),
+    (("poles", "--n"), 1500),
+    (("expand", "--c"), 1500),
+    (("verify", "--n"), 600),
+    (("verify", "--n", "12", "--cutoff"), 10**6),
+]
+
+
+class TestCeilings:
+    @pytest.mark.parametrize("prefix, ceiling", _CEILINGS)
+    @pytest.mark.parametrize("excess", [1, 10**6])
+    def test_above_ceiling_rejected(self, capsys, prefix, ceiling, excess):
+        code, out, err = run_cli(capsys, *prefix, str(ceiling + excess))
+        assert (code, out) == (2, "")
+        assert f"argument {prefix[-1]}: {ceiling + excess} is above the ceiling {ceiling} (" in err
+
+    @pytest.mark.parametrize("prefix, ceiling", _CEILINGS)
+    def test_ceiling_itself_parses(self, prefix, ceiling):
+        ns = cli._build_parser().parse_args([*prefix, str(ceiling)])
+        assert getattr(ns, prefix[-1].lstrip("-")) == ceiling
+
+    def test_workload_sizes_parse(self):
+        parser = cli._build_parser()
+        assert parser.parse_args(["verify", "--n", "100", "--mode", "exact"]).n == 100
+        assert parser.parse_args(["invert", "--n", "100"]).n == 100
+        ns = parser.parse_args(["verify", "--n", "12", "--cutoff", "100000"])
+        assert ns.n * ns.cutoff <= cli._NUMERIC_WORK_CEILING
+
+    def test_non_integer_message_unchanged(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "abc")
+        assert code == 2
+        assert "argument --n: invalid int value: 'abc'" in err
+
+    @pytest.mark.parametrize("mode", ["numeric", "all"])
+    def test_numeric_work_ceiling(self, capsys, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may run above the ceiling")
+
+        monkeypatch.setattr(cli.numeval, "numeric_verify", refuse)
+        monkeypatch.setattr(cli.analytic, "verify_relations_exact", refuse)
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "600", "--mode", mode, "--cutoff", "70000",
+        )
+        assert (code, out) == (2, "")
+        assert "--n 600 times --cutoff 70000 is above the ceiling" in err
+
+    def test_exact_mode_ignores_the_numeric_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_verify_exact", lambda n: (["stub"], {}, True))
+        code, out, _ = run_cli(capsys, "verify", "--n", "600", "--cutoff", "1000000")
+        assert (code, out) == (0, "stub\nresult: PASS\n")
+
 
 class TestPlumbing:
     def test_unknown_command(self, capsys):

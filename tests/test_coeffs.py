@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -266,6 +267,63 @@ class TestVerifyPowerSum:
     def test_bad_argument(self):
         with pytest.raises(ValueError):
             verify_power_sum_identity(0)
+
+    def test_entry_past_the_width_is_reported(self, monkeypatch):
+        # row 8 (e = 7) has ceil(8/2) = 4 entries; a fifth would multiply
+        # (m+n)^(-1), so the row cannot be a polynomial decomposition
+        coeff_a(12, 1)
+        rows = list(coeffs._coeff_rows)
+        rows[7] = rows[7] + [1]
+        monkeypatch.setattr(coeffs, "_coeff_rows", rows)
+        assert verify_power_sum_identity(11).failures == (7,)
+
+
+# the Kronecker evaluation against the coefficient-vector check it replaced
+
+
+def _power_sum_reference(e_max):
+    """Failing exponents by comparing integer coefficient vectors of m^i n^(e-i)."""
+    failures = []
+    for e in range(1, e_max + 1):
+        acc = [0] * (e + 1)
+        for d, coef in enumerate(coeffs._coeff_rows[e], start=1):
+            p = e - 2 * d + 2
+            for t in range(p + 1):
+                acc[d - 1 + t] += coef * comb(p, t)
+        if acc != [1] + [0] * (e - 1) + [1]:
+            failures.append(e)
+    return tuple(failures)
+
+
+# (e, d): entry a_{e+1,d}, first, interior and last columns, odd and even e
+_CORRUPTED_ENTRIES = [(1, 1), (2, 2), (7, 2), (33, 17), (50, 4), (64, 20), (99, 50), (120, 61)]
+
+
+def _corruptions(a):
+    yield a + 1
+    yield a - 1
+    yield -a
+    for j in (1, 7, 64, 200):
+        yield a + (1 << j)
+        yield a - (1 << j)
+
+
+class TestPowerSumAgainstCoefficientVectors:
+    def test_intact_rows_to_120(self):
+        report = verify_power_sum_identity(120)
+        assert report.failures == _power_sum_reference(120) == ()
+
+    @pytest.mark.parametrize("e, d", _CORRUPTED_ENTRIES)
+    def test_single_entry_corruptions(self, monkeypatch, e, d):
+        coeff_a(e + 4, 1)
+        intact = coeffs._coeff_rows
+        for bad in _corruptions(intact[e][d - 1]):
+            rows = list(intact)
+            rows[e] = intact[e][: d - 1] + [bad] + intact[e][d:]
+            monkeypatch.setattr(coeffs, "_coeff_rows", rows)
+            got = verify_power_sum_identity(e + 2).failures
+            assert got == _power_sum_reference(e + 2)
+            assert got == (e,) or bad == intact[e][d - 1]
 
 
 class TestTornheimDecomposition:

@@ -247,6 +247,40 @@ class TestIntegerKernels:
                 assert type(got) is F
                 assert got == _horner_reference(ref, n)
 
+    @pytest.mark.parametrize(
+        "index, message",
+        [(0, "leading coefficient"), (1, "n = 1"), (6, "n = 1"), (7, "n = 1")],
+    )
+    def test_corrupted_bernoulli_fails_the_integer_anchors(
+        self, monkeypatch, index, message
+    ):
+        # B_7 = 0: a nonzero value there is as wrong as a changed B_6
+        bernoulli(30)
+        cache = list(exactnum._bern_cache)
+        cache[index] += F(1, 7)
+        monkeypatch.setattr(exactnum, "_bern_cache", cache)
+        for c in (index, index + 1, 20):
+            with pytest.raises(ValueError, match=message):
+                exactnum._faulhaber_ints(c)
+        with pytest.raises(ValueError):
+            faulhaber(20)
+        if index >= 2:
+            # rows below the corrupted index never read it
+            exactnum._faulhaber_ints(index - 1)
+
+    def test_entry_replaced_in_place_is_noticed(self):
+        # the stored integer form must follow the live cache
+        exactnum._faulhaber_ints(20)
+        good = exactnum._bern_cache[6]
+        exactnum._bern_cache[6] = good + 1
+        try:
+            with pytest.raises(ValueError, match="n = 1"):
+                exactnum._faulhaber_ints(20)
+        finally:
+            exactnum._bern_cache[6] = good
+        den, nums = exactnum._faulhaber_ints(20)
+        assert tuple(F(x, den) for x in nums) == faulhaber(20).coeffs
+
     @pytest.mark.parametrize("c", [1, 2, 5, 40, 120])
     def test_perturbed_coefficient_still_rejected(self, c):
         good = faulhaber(c).coeffs

@@ -128,6 +128,31 @@ class TestBasisRepresentation:
         with pytest.raises(VerificationError):
             BasisRepresentation(m=1, gamma=(F(0), F(3, 2)))
 
+    @pytest.mark.parametrize("m", [1, 3, 10, 40])
+    def test_constructor_rejects_broken_balance(self, m):
+        gamma = basis_representation(m).gamma
+        for k in range(m):
+            for delta in (F(1), F(-1, 2), F(1, 2**40), F(-1, 3**m)):
+                broken = gamma[:k] + (gamma[k] + delta,) + gamma[k + 1:]
+                with pytest.raises(VerificationError, match="residue balance"):
+                    BasisRepresentation(m=m, gamma=broken)
+        if m >= 2:
+            # gamma_0 counts twice: moving delta off gamma_0 and 2 delta
+            # onto gamma_1 keeps the balance
+            delta = F(5, 7)
+            shifted = (gamma[0] - delta, gamma[1] + 2 * delta) + gamma[2:]
+            BasisRepresentation(m=m, gamma=shifted)
+
+    def test_fractions_are_kept_and_others_converted(self):
+        rep = basis_representation(5)
+        again = BasisRepresentation(m=5, gamma=rep.gamma)
+        assert all(a is b for a, b in zip(again.gamma, rep.gamma))
+        rel = RelationVector(coefficients=(1, F(-1, 2), 0), provenance=MATRIX_PATH)
+        assert rel.coefficients == (F(1), F(-1, 2), F(0))
+        assert all(type(x) is F for x in rel.coefficients)
+        mixed = BasisRepresentation(m=2, gamma=(F(-1, 4), -1, F(5, 2)))
+        assert type(mixed.gamma[1]) is F
+
     def test_as_relation_vector(self):
         rel = basis_representation(1).as_relation_vector()
         assert rel.coefficients == (F(1, 2), F(0), F(-3, 2), F(1))
