@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import VerificationError
-from .exactnum import _faulhaber_ints, faulhaber, gen_binomial, rat_to_str, zeta_neg
+from .exactnum import _faulhaber_ints, bernoulli, rat_to_str
 from .relations import (
     BasisRepresentation,
     RelationVector,
@@ -62,7 +62,8 @@ class PoleRecord:
     annotation: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residue", Fraction(self.residue))
+        if type(self.residue) is not Fraction:
+            object.__setattr__(self, "residue", Fraction(self.residue))
         if self.residue == 0:
             raise ValueError("a pole record must carry a nonzero residue")
         if self.source_label not in (S_EQ_2, S_EQ_1, S_EQ_MINUS_2K):
@@ -139,9 +140,13 @@ def pole_table(n: int) -> PoleTable:
     n >= 2 there are further simple poles at s = -2k,
     k = 0..floor(n/2)-1, with residue binom(2k-n, 2k+1) * zeta(-2k-1);
     for odd n the candidate pole at the next even location is canceled
-    by a trivial zero, hence the floor(n/2) count.  The table is
-    immutable and memoised per n, because the independence witnesses
-    ask for every smaller catalog again and again.
+    by a trivial zero, hence the floor(n/2) count.  Since 2k-n < 0,
+    binom(2k-n, 2k+1) = -C(n, 2k+1), and zeta(-2k-1) = -B_{2k+2}/(2k+2),
+    so each residue is evaluated as C(n, 2k+1) B_{2k+2} / (2k+2) from
+    `math.comb` and the Bernoulli numerator and denominator, one
+    Fraction per record; the annotation keeps the binom * zeta form.
+    The table is immutable and memoised per n, because the independence
+    witnesses ask for every smaller catalog again and again.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -153,7 +158,8 @@ def pole_table(n: int) -> PoleTable:
                    annotation="2*zeta(0)" if n == 0 else "zeta(0)"),
     ]
     for k in range(n // 2):
-        residue = gen_binomial(2 * k - n, 2 * k + 1) * zeta_neg(2 * k + 1)
+        b = bernoulli(2 * k + 2)
+        residue = Fraction(comb(n, 2 * k + 1) * b.numerator, b.denominator * (2 * k + 2))
         records.append(
             PoleRecord(
                 location=-2 * k,
@@ -179,7 +185,9 @@ class ZetaShiftExpansion:
     q: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
+        object.__setattr__(
+            self, "q", tuple(x if type(x) is Fraction else Fraction(x) for x in self.q)
+        )
         if self.c < 0:
             raise ValueError("c must be >= 0")
         expected_len = 2 if self.c == 0 else self.c + 1
@@ -209,16 +217,15 @@ def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
     the inner power sum: summing S_c(n) * n^(-s-c) over n termwise
     turns the n^(c+1-j) piece into zeta(s+j-1).  For c >= 1 the closed
     form has zero constant term and j stops at c; for c = 0 the
-    constant -1 of S_0(n) = n - 1 contributes the j = 1 entry.  The
-    result is immutable and memoised per c, because collapsing a
-    family's relations asks for the same expansions again and again.
+    constant -1 of S_0(n) = n - 1 contributes the j = 1 entry.  q is
+    built from the integer numerators of `_faulhaber_ints(c)`, which
+    has already checked the Faulhaber anchors, one Fraction per entry;
+    it does not go through the memo of `_expansion_ints`, which only
+    the collapse needs.  The result is immutable and memoised per c.
     """
-    coeffs = faulhaber(c).coeffs
-    if c == 0:
-        q = coeffs
-    else:
-        q = coeffs[: c + 1]
-    return ZetaShiftExpansion(c=c, q=tuple(q))
+    den, nums = _faulhaber_ints(c)
+    q = nums if c == 0 else nums[: c + 1]
+    return ZetaShiftExpansion(c=c, q=tuple(Fraction(x, den) for x in q))
 
 
 def residues_from_expansion(c: int) -> PoleTable:

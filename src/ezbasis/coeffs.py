@@ -36,6 +36,10 @@ from fractions import Fraction
 from .errors import SingularMatrixError
 from .exactnum import rat_from_str, rat_to_str
 
+# shared entries: a grid that reuses these compares them by identity
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 # ---------------------------------------------------------------------------
 # the coefficient family a_{c,d}
@@ -119,7 +123,7 @@ class CoeffMatrix:
 
     @classmethod
     def identity(cls, n: int) -> CoeffMatrix:
-        rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         return cls.from_rows(rows)
 
     @classmethod

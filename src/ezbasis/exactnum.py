@@ -17,6 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add, mul
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -51,6 +52,9 @@ _bern_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 # the integer form (den, nums) of the cache, beside a copy of the cache
 # it was derived from, so that a replaced cache or entry is noticed
 _bern_ints: tuple[list[Fraction], int, list[int]] = ([], 1, [])
+# the Pascal row C(r, 0..r) for r = len(_pascal_row) - 1, left by the last
+# fill for the next one; a row is never changed in place
+_pascal_row: list[int] = [1, 3, 3, 1]
 
 
 def _bernoulli_ints() -> tuple[int, list[int]]:
@@ -72,19 +76,27 @@ def bernoulli(n: int) -> Fraction:
     Computed by the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
     and cached, so a call for B_n fills the table up to n once.  The
     fill keeps every cached B_k as an integer numerator over the lcm
-    of their denominators, so each step is one integer dot product,
-    and stores that integer form for `_bernoulli_ints`.
+    of their denominators, and carries the Pascal row C(m+1, .) from
+    step to step, and from one fill to the next, by integer adds, so
+    each step is one integer dot product; it stores that integer form
+    for `_bernoulli_ints`.
     """
-    global _bern_ints
+    global _bern_ints, _pascal_row
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if len(_bern_cache) <= n:
         # B_k = nums[k] / den for every cached k
         den, nums = _bernoulli_ints()
         nums = list(nums)
-        for m in range(len(_bern_cache), n + 1):
+        start = len(_bern_cache)
+        # row[k] = C(m+1, k) for k = 0..m+1
+        row = _pascal_row
+        if len(row) != start + 2:
+            row = [comb(start + 1, k) for k in range(start + 2)]
+        for m in range(start, n + 1):
             # sum_{k=0}^{m} C(m+1, k) B_k = 0, solved for B_m
-            acc = sum(comb(m + 1, k) * x for k, x in enumerate(nums) if x)
+            acc = sum(map(mul, row, nums))
+            row = [1, *map(add, row, row[1:]), 1]
             b = Fraction(-acc, den * (m + 1))
             _bern_cache.append(b)
             scale = b.denominator // gcd(den, b.denominator)
@@ -93,6 +105,7 @@ def bernoulli(n: int) -> Fraction:
                 den *= scale
             nums.append(b.numerator * (den // b.denominator))
         _bern_ints = (list(_bern_cache), den, nums)
+        _pascal_row = row
     return _bern_cache[n]
 
 

@@ -399,10 +399,11 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     Covers the relation family, the basis representations for
     m <= floor((N-1)/2), and the Tornheim decomposition of every row.
     Each check carries the rigorous bound on its residual implied by
-    the truncation bounds of the evaluations involved; tol at or below
-    the largest such bound is rejected up front, since a failure could
-    then never be attributed to a wrong identity, and so is an infinite
-    tol, under which nothing could fail.
+    the truncation bounds of the evaluations involved.  Those bounds
+    are closed forms, so tol at or below the largest of them is
+    rejected before any series is summed, since a failure could then
+    never be attributed to a wrong identity; so is an infinite tol,
+    under which nothing could fail.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -416,49 +417,46 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
         # every finite residual is below inf, so the verdict would be a hollow PASS
         raise ValueError(f"tol must be finite, got {tol}")
 
-    ez = [eval_ez_double(c, s, cutoff) for c in range(top_index + 1)]
-    torn = [eval_tornheim(d - 1, s, cutoff) for d in range(1, n_prime + 1)]
-
-    jobs: list[tuple[str, complex, float]] = []
-
-    def folded_job(name: str, rel) -> None:
-        value = complex(0.0)
-        bound = 0.0
-        for p, w in enumerate(rel.folded_coefficients()):
-            if w == 0:
-                continue
-            value += float(w) * ez[p].value
-            bound += abs(float(w)) * ez[p].tail_bound
-        jobs.append((name, value, bound))
-
-    for idx, rel in enumerate(relation_family(N), start=1):
-        folded_job(f"relation {idx}", rel)
-    for m in range(m_top + 1):
-        rep = basis_representation(m)
-        folded_job(f"representation m={m}", rep.as_relation_vector())
+    # every check is a weighted sum of series values, as (weight, index)
+    # terms over zeta(-c, s+c) for c <= top_index, followed by
+    # T(-a, -a; s+2a) for a < n_prime at index torn + a
+    torn = top_index + 1
+    folded = [(f"relation {idx}", rel) for idx, rel in enumerate(relation_family(N), start=1)]
+    folded += [
+        (f"representation m={m}", basis_representation(m).as_relation_vector())
+        for m in range(m_top + 1)
+    ]
+    plans = [
+        (name, [(float(w), p) for p, w in enumerate(rel.folded_coefficients()) if w])
+        for name, rel in folded
+    ]
     for c in range(2 * n_prime):
-        weights = tornheim_decomposition(c)
-        if c == 0:
-            value = ez[0].value / 2
-            bound = ez[0].tail_bound / 2
-        else:
-            value = ez[c].value
-            bound = ez[c].tail_bound
-        for d, w in enumerate(weights, start=1):
-            if w == 0:
-                continue
-            value -= float(w) * torn[d - 1].value
-            bound += abs(float(w)) * torn[d - 1].tail_bound
-        jobs.append((f"tornheim row c={c}", value, bound))
+        # zeta(0,s)/2 for c = 0, minus the Tornheim side
+        terms = [(0.5 if c == 0 else 1.0, c)]
+        for d, w in enumerate(tornheim_decomposition(c), start=1):
+            if w:
+                terms.append((-float(w), torn + d - 1))
+        plans.append((f"tornheim row c={c}", terms))
 
-    worst = max(bound for (_, _, bound) in jobs)
+    def combine(terms, series, acc):
+        # strictly left to right: the reported floats depend on the order
+        for w, i in terms:
+            acc += w * series[i]
+        return acc
+
+    tails = [_tail_bound(s.real, cutoff, c + 1) for c in range(top_index + 1)]
+    tails += [_tail_bound(s.real, cutoff, a + 1) for a in range(n_prime)]
+    bounds = [combine([(abs(w), i) for w, i in terms], tails, 0.0) for _, terms in plans]
+    worst = max(bounds)
     if tol <= worst:
         raise ValueError(
             f"tol {tol} is not above the achievable bound {worst:.3e}; "
             "raise tol or the cutoff"
         )
+    values = [eval_ez_double(c, s, cutoff).value for c in range(top_index + 1)]
+    values += [eval_tornheim(a, s, cutoff).value for a in range(n_prime)]
     checks = tuple(
-        NumericCheck(name=name, residual=abs(value), bound=bound)
-        for (name, value, bound) in jobs
+        NumericCheck(name=name, residual=abs(combine(terms, values, 0j)), bound=bound)
+        for (name, terms), bound in zip(plans, bounds)
     )
     return NumericReport(n=N, s=s, cutoff=cutoff, tol=tol, checks=checks)

@@ -26,11 +26,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 
-from .coeffs import build_matrix_A, coeff_row, split_A1_A2
+from .coeffs import ONE, ZERO, build_matrix_A, coeff_row, split_A1_A2
 from .errors import VerificationError
-from .exactnum import _over_lcm, gen_binomial, rat_to_str
+from .exactnum import _over_lcm, rat_to_str
 from .trilinalg import invert_forward
 
 MATRIX_PATH = "matrix_path"
@@ -126,7 +126,7 @@ def relation_family(N: int) -> list[RelationVector]:
     inv2 = invert_forward(a2).entries
     out = []
     for i in range(n_prime):
-        coeffs = [Fraction(0)] * (2 * n_prime)
+        coeffs = [ZERO] * (2 * n_prime)
         for k in range(n_prime):
             coeffs[2 * k] = inv1[i][k]
             coeffs[2 * k + 1] = -inv2[i][k]
@@ -183,8 +183,8 @@ class BasisRepresentation:
         position 0 carries -2*gamma[0] because it stands for
         zeta(0,s)/2.
         """
-        coeffs = [Fraction(0)] * (2 * self.m + 2)
-        coeffs[2 * self.m + 1] = Fraction(1)
+        coeffs = [ZERO] * (2 * self.m + 2)
+        coeffs[2 * self.m + 1] = ONE
         coeffs[0] = -2 * self.gamma[0]
         for k in range(1, self.m + 1):
             coeffs[2 * k] = -self.gamma[k]
@@ -267,7 +267,13 @@ def residue_system_representation(m: int) -> BasisRepresentation:
     redundant equation, checked at the end; an imbalance there would
     mean the system was inconsistent and raises VerificationError.
     Finally gamma = -c restores the positive convention, with gamma[0]
-    absorbing the halving.  Every residue weight is an integer binomial,
+    absorbing the halving.  Every residue weight is an integer binomial
+    with a negative top, taken through C(x, k) = (-1)^k C(k-x-1, k):
+
+        binom(2j-3-2m, 2j-1) = -C(2m+1, 2j-1),
+        binom(2j-2-2k, 2j-1) = -C(2k, 2j-1),
+        binom(-2, 2j-1)      = -2j,
+
     so the solve keeps c_{2k} as integer numerators over one common
     denominator and builds each Fraction once.
     """
@@ -276,10 +282,10 @@ def residue_system_representation(m: int) -> BasisRepresentation:
     num: dict[int, int] = {}
     den = 1
     for j in range(m, 0, -1):
-        rhs = den * gen_binomial(2 * j - 3 - 2 * m, 2 * j - 1).numerator
+        rhs = -den * comb(2 * m + 1, 2 * j - 1)
         for k in range(j + 1, m + 1):
-            rhs += num[2 * k] * gen_binomial(2 * j - 2 - 2 * k, 2 * j - 1).numerator
-        piv = gen_binomial(-2, 2 * j - 1).numerator
+            rhs -= num[2 * k] * comb(2 * k, 2 * j - 1)
+        piv = -2 * j
         g = gcd(rhs, piv)
         rhs //= g
         piv //= g
@@ -289,16 +295,17 @@ def residue_system_representation(m: int) -> BasisRepresentation:
             num = {idx: x * piv for idx, x in num.items()}
             num[2 * j] = -rhs
             den *= piv
-    c = {idx: Fraction(x, den) for idx, x in num.items()}
-    c0 = -(1 + sum(c.values()))
-    balance = Fraction(1, 2 * m + 2)
-    balance += sum(c[2 * k] / (2 * k + 1) for k in range(1, m + 1))
-    balance += c0 / 2
+    # c_0 = n0 / den, and the balance at s = 2 over L * den
+    n0 = -den - sum(num.values())
+    L = lcm(2 * m + 2, *range(3, 2 * m + 2, 2))
+    balance = den * (L // (2 * m + 2)) + n0 * (L // 2)
+    balance += sum(num[2 * k] * (L // (2 * k + 1)) for k in range(1, m + 1))
     if balance != 0:
         raise VerificationError(
-            f"residue system inconsistent at s = 2 for m = {m}: imbalance {balance}"
+            f"residue system inconsistent at s = 2 for m = {m}: "
+            f"imbalance {Fraction(balance, L * den)}"
         )
-    gamma = [-c0 / 2] + [-c[2 * k] for k in range(1, m + 1)]
+    gamma = [Fraction(-n0, 2 * den)] + [Fraction(-num[2 * k], den) for k in range(1, m + 1)]
     return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=RESIDUE_PATH)
 
 

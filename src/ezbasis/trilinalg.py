@@ -18,16 +18,21 @@ All three kernels (both inversions and `mat_mul`) run on integers: each
 row (for `mat_mul` also each column of the right factor) is scaled by
 the lcm of its denominators, the arithmetic stays in integers over
 that row and column denominator, and every output entry becomes one
-reduced Fraction.  The two inversions share only that row scaling,
-never their substitution or recurrence.
+reduced Fraction.  The dot products of `mat_mul` and `invert_forward`
+run at C level, as sum(map(mul, ...)) over the integer vectors.  The
+entries above the diagonal of an inverse and every zero entry of a
+product are the shared `coeffs.ZERO`, so comparing two results mostly
+compares entries by identity.  The two inversions share only the row
+scaling, never their substitution or recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .coeffs import CoeffMatrix, require_lower_triangular
+from .coeffs import ZERO, CoeffMatrix, require_lower_triangular
 
 
 def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
@@ -43,13 +48,13 @@ def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
     require_lower_triangular(M)
     n = M.rows
     b, d = zip(*(_scaled_to_int(row) for row in M.entries))
-    inv = [[Fraction(0)] * n for _ in range(n)]
+    inv = [[ZERO] * n for _ in range(n)]
     for j in range(n):
         num = [1]
         den = b[j][j]
         for i in range(j + 1, n):
             row = b[i]
-            s = sum(x * y for x, y in zip(row[j:i], num))
+            s = sum(map(mul, row[j:i], num))
             g = gcd(s, row[i])
             s //= g
             piv = row[i] // g
@@ -86,7 +91,7 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
     require_lower_triangular(M)
     n = M.rows
     b, scale = zip(*(_scaled_to_int(row) for row in M.entries))
-    inv = [[Fraction(0)] * n for _ in range(n)]
+    inv = [[ZERO] * n for _ in range(n)]
     for j in range(n):
         inv[j][j] = Fraction(scale[j], b[j][j])
         # d[k] = D_{j+k,j}; u[c-1] = d_{c-1} * prod of diag entries j+c..j+k-1
@@ -156,8 +161,10 @@ def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
     """Exact matrix product.
 
     Each row of P and each column of Q is scaled to integers by the lcm
-    of its denominators, so every dot product runs in integers and each
-    output entry is normalised once, as Fraction(dot, dP * dQ).
+    of its denominators, so every dot product is one C-level
+    sum(map(mul, ...)) over integers, and each nonzero output entry is
+    normalised once, as Fraction(dot, dP * dQ).  The product is
+    generic: no entry of either factor is assumed zero.
     """
     if P.cols != Q.rows:
         raise ValueError(
@@ -167,7 +174,7 @@ def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
     qcols = [_scaled_to_int(col) for col in zip(*Q.entries)]
     rows = [
         [
-            Fraction(sum(x * y for x, y in zip(pnum, qnum) if x), pden * qden)
+            Fraction(dot, pden * qden) if (dot := sum(map(mul, pnum, qnum))) else ZERO
             for qnum, qden in qcols
         ]
         for pnum, pden in prows

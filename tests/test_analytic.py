@@ -87,6 +87,33 @@ class TestPoleTable:
         with pytest.raises(ValueError):
             pole_table(-1)
 
+    def test_residues_match_the_binomial_zeta_formula(self):
+        # the catalog evaluates C(n, 2k+1) B_{2k+2} / (2k+2); the formula
+        # it stands for is binom(2k-n, 2k+1) * zeta(-2k-1)
+        for n in range(301):
+            for k, r in enumerate(pole_table(n).records[2:]):
+                assert r.location == -2 * k
+                assert r.residue == gen_binomial(2 * k - n, 2 * k + 1) * zeta_neg(2 * k + 1)
+                assert type(r.residue) is F
+
+    def test_catalog_reads_no_expansion(self, monkeypatch):
+        reference = [pole_table(n) for n in range(41)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct catalog must not read an expansion")
+
+        for name in ("_faulhaber_ints", "_expansion_ints", "zeta_shift_expansion"):
+            monkeypatch.setattr(analytic, name, refuse)
+        monkeypatch.setattr(exactnum, "_faulhaber_ints", refuse)
+        monkeypatch.setattr(exactnum, "faulhaber", refuse)
+        assert [pole_table.__wrapped__(n) for n in range(41)] == reference
+
+    def test_record_keeps_fractions_and_converts_others(self):
+        x = F(1, 6)
+        assert PoleRecord(location=0, residue=x, source_label=S_EQ_MINUS_2K).residue is x
+        r = PoleRecord(location=2, residue=1, source_label=S_EQ_2)
+        assert type(r.residue) is F and r.residue == 1
+
     def test_record_rejects_zero_residue(self):
         with pytest.raises(ValueError):
             PoleRecord(location=2, residue=F(0), source_label=S_EQ_2)
@@ -182,6 +209,13 @@ class TestZetaShiftExpansion:
         monkeypatch.setattr(exactnum, "Fraction", refuse)
         monkeypatch.setattr(analytic, "Fraction", refuse)
         assert [analytic._expansion_ints.__wrapped__(c) for c in range(61)] == expected
+
+    def test_keeps_fractions_and_converts_others(self):
+        half = F(1, 2)
+        e = ZetaShiftExpansion(c=1, q=(half, F(-1, 2)))
+        assert e.q[0] is half
+        e = ZetaShiftExpansion(c=0, q=(1, -1))
+        assert e.q == (1, -1) and all(type(x) is F for x in e.q)
 
     def test_json(self):
         assert zeta_shift_expansion(2).to_json_dict() == {

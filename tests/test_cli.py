@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -286,6 +287,19 @@ class TestVerify:
         assert code == 2
         assert "bound" in err
 
+    def test_tol_below_bound_rejected_before_summing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected tol must not sum any series")
+
+        monkeypatch.setattr(cli.numeval, "eval_ez_double", refuse)
+        monkeypatch.setattr(cli.numeval, "eval_tornheim", refuse)
+        code, out, err = run_cli(capsys, "verify", "--n", "30", "--mode", "numeric", "--s", "5")
+        assert (code, out) == (2, "")
+        assert err == (
+            "ezbasis: tol 1e-06 is not above the achievable bound 5.607e+01; "
+            "raise tol or the cutoff\n"
+        )
+
     def test_infinite_tol_rejected(self, capsys):
         # every finite residual is below inf, so PASS would be hollow
         code, out, err = run_cli(
@@ -420,6 +434,25 @@ class TestCeilings:
         monkeypatch.setattr(cli, "_verify_exact", lambda n: (["stub"], {}, True))
         code, out, _ = run_cli(capsys, "verify", "--n", "600", "--cutoff", "1000000")
         assert (code, out) == (0, "stub\nresult: PASS\n")
+
+
+_BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+class TestBenchmarkDigests:
+    """The stdout the benchmark checks, compared here as well."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["verify --n 100 --mode exact", "invert --n 100 --which a2 --oracle --format json"],
+    )
+    def test_stdout_matches_the_recorded_digest(self, capsys, argv):
+        want = json.loads(_BENCH_EXPECTED.read_text(encoding="utf-8"))["cli"][argv]
+        code, out, _ = run_cli(capsys, *argv.split())
+        data = out.encode("utf-8")
+        assert (code, hashlib.sha256(data).hexdigest(), len(data)) == (
+            want["exit"], want["sha256"], want["bytes"]
+        )
 
 
 class TestPlumbing:

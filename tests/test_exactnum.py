@@ -236,6 +236,29 @@ class TestIntegerKernels:
         assert got == _BERN_REF
         assert all(type(b) is F for b in got)
 
+    def test_bernoulli_fill_carries_the_pascal_row(self, monkeypatch):
+        # math.comb builds a row only when no carried row fits; every
+        # later row is added up, also across fills that walk upwards
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return comb(n, k)
+
+        monkeypatch.setattr(exactnum, "_bern_cache", [F(1), F(-1, 2)])
+        monkeypatch.setattr(exactnum, "_pascal_row", [])
+        monkeypatch.setattr(exactnum, "comb", counted)
+        assert bernoulli(100) == _BERN_REF[100]
+        assert calls == [(3, k) for k in range(4)]
+        for n in range(101, 201):
+            assert bernoulli(n) == _BERN_REF[n]
+        assert len(calls) == 4
+        assert [bernoulli(n) for n in range(201)] == _BERN_REF
+        # a cache replaced by a shorter one gets a fresh row
+        monkeypatch.setattr(exactnum, "_bern_cache", exactnum._bern_cache[:51])
+        assert bernoulli(120) == _BERN_REF[120]
+        assert calls[4:] == [(52, k) for k in range(53)]
+
     def test_faulhaber_matches_fraction_construction(self):
         for c in range(121):
             p = faulhaber(c)

@@ -9,6 +9,7 @@ import math
 import pytest
 
 import ezbasis.numeval as numeval
+from ezbasis.coeffs import tornheim_decomposition
 from ezbasis.exactnum import bernoulli
 from ezbasis.numeval import (
     NumericResult,
@@ -19,6 +20,7 @@ from ezbasis.numeval import (
     tornheim_inner_sum,
     zeta_reference,
 )
+from ezbasis.relations import basis_representation, relation_family
 from golden_values import ZETA_4_PLUS_3I, ZETA_5_HALVES, ZETA_7_HALVES
 
 
@@ -298,6 +300,36 @@ class TestNumericResult:
         }
 
 
+def _reference_checks(N: int, s: complex, cutoff: int) -> list[tuple[str, float, float]]:
+    """Every check as the loop over evaluated series computes it."""
+    n_prime, m_top = N // 2, (N - 1) // 2
+    ez = [eval_ez_double(c, s, cutoff) for c in range(max(2 * n_prime - 1, 2 * m_top + 1) + 1)]
+    torn = [eval_tornheim(d - 1, s, cutoff) for d in range(1, n_prime + 1)]
+    out = []
+
+    def folded(name, rel):
+        value, bound = complex(0.0), 0.0
+        for p, w in enumerate(rel.folded_coefficients()):
+            if w != 0:
+                value += float(w) * ez[p].value
+                bound += abs(float(w)) * ez[p].tail_bound
+        out.append((name, abs(value), bound))
+
+    for idx, rel in enumerate(relation_family(N), start=1):
+        folded(f"relation {idx}", rel)
+    for m in range(m_top + 1):
+        folded(f"representation m={m}", basis_representation(m).as_relation_vector())
+    for c in range(2 * n_prime):
+        half = 2 if c == 0 else 1
+        value, bound = ez[c].value / half, ez[c].tail_bound / half
+        for d, w in enumerate(tornheim_decomposition(c), start=1):
+            if w != 0:
+                value -= float(w) * torn[d - 1].value
+                bound += abs(float(w)) * torn[d - 1].tail_bound
+        out.append((f"tornheim row c={c}", abs(value), bound))
+    return out
+
+
 class TestNumericVerify:
     def test_small_family_passes(self):
         report = numeric_verify(6, 5.0, 2_000, 1e-5)
@@ -364,6 +396,28 @@ class TestNumericVerify:
         with pytest.raises(ValueError, match="underflows to 0.0"):
             eval_tornheim(3, 1069.0, 100)
         assert eval_ez_double(5, 1069.0, 100).value.real > 0.0
+
+    def test_tol_rejected_before_any_series_is_summed(self, monkeypatch):
+        # the bounds are closed forms; summing N = 30 at the default
+        # cutoff first would take seconds
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected tol must not sum any series")
+
+        monkeypatch.setattr(numeval, "eval_ez_double", refuse)
+        monkeypatch.setattr(numeval, "eval_tornheim", refuse)
+        with pytest.raises(ValueError) as info:
+            numeric_verify(30, 5.0, 100_000, 1e-6)
+        assert str(info.value) == (
+            "tol 1e-06 is not above the achievable bound 5.607e+01; raise tol or the cutoff"
+        )
+
+    @pytest.mark.parametrize("N, s", [(9, 5.0), (12, complex(4, 3)), (13, 12.0)])
+    def test_checks_equal_the_per_series_loop(self, N, s):
+        # residual and bound of every check, bit for bit
+        report = numeric_verify(N, s, 500, 1e-2)
+        assert [(c.name, c.residual, c.bound) for c in report.checks] == (
+            _reference_checks(N, s, 500)
+        )
 
     def test_non_finite_s_rejected(self):
         with pytest.raises(ValueError, match="s must be finite"):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import inspect
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from ezbasis import coeffs, relations, trilinalg
 from ezbasis.coeffs import build_matrix_A, split_A1_A2
 from ezbasis.errors import VerificationError
+from ezbasis.exactnum import gen_binomial
 from ezbasis.relations import (
     MATRIX_PATH,
     RESIDUE_PATH,
@@ -253,13 +255,80 @@ class TestBackSubstitutionSafety:
         assert rep.gamma != residue_system_representation(5).gamma
 
 
+def _residue_weight(idx, j):
+    # residue of family member idx at s = 2 - 2j, up to the factor zeta(1-2j)
+    return gen_binomial(2 * j - 2 - idx, 2 * j - 1)
+
+
+def _residue_system_reference(m, weight=_residue_weight):
+    """The residue solve in plain Fractions: (gamma, imbalance at s = 2)."""
+    c = {}
+    for j in range(m, 0, -1):
+        rhs = weight(2 * m + 1, j) + sum(c[2 * k] * weight(2 * k, j) for k in range(j + 1, m + 1))
+        c[2 * j] = -rhs / weight(2 * j, j)
+    c0 = -(1 + sum(c.values(), F(0)))
+    balance = F(1, 2 * m + 2) + sum((c[2 * k] / (2 * k + 1) for k in range(1, m + 1)), F(0))
+    balance += c0 / 2
+    return (-c0 / 2, *(-c[2 * k] for k in range(1, m + 1))), balance
+
+
 class TestResiduePath:
     def test_agrees_with_matrix_path(self):
-        for m in range(13):
+        for m in range(61):
             mat = basis_representation(m)
             res = residue_system_representation(m)
             assert res.gamma == mat.gamma, f"m = {m}"
             assert res.provenance == RESIDUE_PATH
+
+    def test_integer_weights_match_the_binomials(self):
+        # the three weights the solve takes as integers
+        for m in range(61):
+            for j in range(1, m + 1):
+                assert gen_binomial(2 * j - 3 - 2 * m, 2 * j - 1) == -comb(2 * m + 1, 2 * j - 1)
+                assert gen_binomial(-2, 2 * j - 1) == -2 * j
+                for k in range(j + 1, m + 1):
+                    assert gen_binomial(2 * j - 2 - 2 * k, 2 * j - 1) == -comb(2 * k, 2 * j - 1)
+
+    def test_matches_the_fraction_solve(self):
+        for m in range(31):
+            gamma, balance = _residue_system_reference(m)
+            assert balance == 0
+            assert residue_system_representation(m).gamma == gamma, f"m = {m}"
+
+    def test_inconsistent_system_is_reported(self, monkeypatch):
+        # a wrong weight of the target at s = 0 breaks the redundant
+        # equation at s = 2; the message carries the exact imbalance
+        m = 4
+
+        def wrong_weight(idx, j):
+            w = _residue_weight(idx, j)
+            return w - 1 if (idx, j) == (2 * m + 1, 1) else w
+
+        def wrong_comb(n, k):
+            return comb(n, k) + (1 if (n, k) == (2 * m + 1, 1) else 0)
+
+        _, imbalance = _residue_system_reference(m, wrong_weight)
+        assert imbalance != 0
+        monkeypatch.setattr(relations, "comb", wrong_comb)
+        with pytest.raises(VerificationError) as info:
+            residue_system_representation(m)
+        assert str(info.value) == (
+            f"residue system inconsistent at s = 2 for m = {m}: imbalance {imbalance}"
+        )
+
+    def test_reads_no_matrix(self, monkeypatch):
+        reference = [residue_system_representation(m).gamma for m in range(21)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the residue path must not read the matrix path")
+
+        for module in (trilinalg, coeffs):
+            for name, obj in vars(module).items():
+                if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                    monkeypatch.setattr(module, name, refuse)
+        for name in ("build_matrix_A", "coeff_row", "split_A1_A2", "invert_forward"):
+            monkeypatch.setattr(relations, name, refuse)
+        assert [residue_system_representation(m).gamma for m in range(21)] == reference
 
     def test_pinned_m3(self):
         assert residue_system_representation(3).gamma == GAMMA[3]

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from ezbasis import trilinalg
-from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
+from ezbasis.coeffs import ONE, ZERO, CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.errors import SingularMatrixError
 from ezbasis.trilinalg import (
     det_Dij,
@@ -248,6 +248,70 @@ class TestMatMul:
         p = CoeffMatrix.from_rows([[1, 2]])
         with pytest.raises(ValueError):
             mat_mul(p, p)
+
+    def test_dense_rectangular_against_triple_loop(self):
+        rng = random.Random(17)
+        p = _random_dense(rng, 3, 5)
+        q = _random_dense(rng, 5, 4)
+        # an all-zero row of P and an all-zero column of Q
+        p = CoeffMatrix.from_rows([p.entries[0], [F(0)] * 5, p.entries[2]])
+        q = CoeffMatrix.from_rows([row[:2] + (F(0),) + row[3:] for row in q.entries])
+        prod = mat_mul(p, q)
+        assert (prod.rows, prod.cols) == (3, 4)
+        assert prod.entries == _mat_mul_reference(p, q)
+        zeros = [prod.entries[1][j] for j in range(4)] + [prod.entries[i][2] for i in range(3)]
+        assert all(x == F(0) and type(x) is F for x in zeros)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_square_against_triple_loop(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        p = _random_dense(rng, n, n)
+        q = _random_dense(rng, n, n)
+        prod = mat_mul(p, q)
+        assert prod.entries == _mat_mul_reference(p, q)
+        assert all(type(x) is F for row in prod.entries for x in row)
+
+    def test_products_that_cancel_to_zero(self):
+        # nonzero factors whose dot products vanish
+        p = CoeffMatrix.from_rows([[F(1, 2), F(1, 3)], [F(2, 3), F(-1, 2)]])
+        q = CoeffMatrix.from_rows([[F(2, 3), F(-1, 3)], [F(-1), F(1, 2)]])
+        prod = mat_mul(p, q)
+        assert prod.entries == _mat_mul_reference(p, q)
+        assert prod.entries[0][0] == F(0) and prod.entries[0][1] == F(0)
+
+
+def _random_dense(rng: random.Random, rows: int, cols: int) -> CoeffMatrix:
+    """Random rationals, about a fifth of them zero, with no triangular shape."""
+    return CoeffMatrix.from_rows(
+        [
+            [F(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() > 0.2 else F(0)
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    )
+
+
+def _mat_mul_reference(p: CoeffMatrix, q: CoeffMatrix):
+    """The naive Fraction triple loop."""
+    out = []
+    for i in range(p.rows):
+        row = []
+        for j in range(q.cols):
+            acc = F(0)
+            for k in range(p.cols):
+                acc += p.entries[i][k] * q.entries[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def test_zero_entries_are_the_shared_zero():
+    # entries above the diagonal compare by identity
+    m = _random_lower_triangular(random.Random(3), 6)
+    for grid in (invert_forward(m), invert_cofactor(m), CoeffMatrix.identity(6)):
+        assert all(grid.entries[i][j] is ZERO for i in range(6) for j in range(i + 1, 6))
+    assert all(CoeffMatrix.identity(6).entries[i][i] is ONE for i in range(6))
 
 
 class TestRowSums:
