@@ -43,15 +43,6 @@ from .exactnum import (
     rat_to_str,
     zeta_neg,
 )
-from .numeval import (
-    NumericReport,
-    NumericResult,
-    eval_ez_double,
-    eval_tornheim,
-    numeric_verify,
-    tornheim_inner_sum,
-    zeta_reference,
-)
 from .relations import (
     BasisFunction,
     BasisRepresentation,
@@ -113,3 +104,23 @@ __all__ = [
     "zeta_reference",
     "zeta_shift_expansion",
 ]
+
+# numeval loads on first use: no exact command needs it, and importing
+# it costs every command-line start a few milliseconds
+_NUMEVAL_EXPORTS = frozenset({
+    "NumericReport",
+    "NumericResult",
+    "eval_ez_double",
+    "eval_tornheim",
+    "numeric_verify",
+    "tornheim_inner_sum",
+    "zeta_reference",
+})
+
+
+def __getattr__(name: str):
+    if name in _NUMEVAL_EXPORTS:
+        from . import numeval
+
+        return getattr(numeval, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,11 +27,11 @@ enforces exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
 
+from ._record import record
 from .errors import VerificationError
 from .exactnum import _faulhaber_ints, bernoulli, rat_to_str
 from .relations import (
@@ -47,7 +47,7 @@ S_EQ_1 = "s_eq_1"
 S_EQ_MINUS_2K = "s_eq_minus_2k"
 
 
-@dataclass(frozen=True)
+@record
 class PoleRecord:
     """A simple pole of one family member: location, exact residue.
 
@@ -70,7 +70,7 @@ class PoleRecord:
             raise ValueError(f"unknown source label {self.source_label!r}")
 
 
-@dataclass(frozen=True)
+@record
 class PoleTable:
     """All poles of zeta(-n, s+n), sorted by descending location.
 
@@ -171,7 +171,7 @@ def pole_table(n: int) -> PoleTable:
     return PoleTable(n=n, records=tuple(records))
 
 
-@dataclass(frozen=True)
+@record
 class ZetaShiftExpansion:
     """The exact vector q with zeta(-c, s+c) = sum_j q_j zeta(s+j-1).
 
@@ -269,7 +269,7 @@ def residues_from_expansion(c: int) -> PoleTable:
     return table
 
 
-@dataclass(frozen=True)
+@record
 class ExactRelationReport:
     """Outcome of collapsing a family's relations onto the oracle."""
 

@@ -17,16 +17,25 @@ import io
 import json
 import sys
 
-from . import analytic, coeffs, numeval, relations, trilinalg
+from . import analytic, coeffs, relations, trilinalg
 from .errors import VerificationError
 from .exactnum import rat_to_str
 from .relations import function_label, render_combination
 
 _FORMATS = ("text", "json", "latex", "csv")
-_VERIFY_FORMATS = ("text", "json")
 # numeric verification sums about N series of `cutoff` terms each, at
 # roughly a microsecond per term at a complex point
 _NUMERIC_WORK_CEILING = 4 * 10**7
+
+
+def __getattr__(name: str):
+    # numeval loads on first numeric check (see `_verify_numeric`), yet
+    # `cli.numeval` still names it
+    if name == "numeval":
+        from . import numeval
+
+        return numeval
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_complex(text: str) -> complex:
@@ -91,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--format", dest="fmt", choices=_FORMATS, default="text")
+    def common(sp: argparse.ArgumentParser, formats: tuple[str, ...] = _FORMATS) -> None:
+        sp.add_argument("--format", dest="fmt", choices=formats, default="text")
         sp.add_argument("--output", dest="output_path", default=None,
                         help="write to this file instead of stdout")
 
@@ -140,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=_at_most(10**6, "each series sums cutoff terms"),
                     default=100000)
     sp.add_argument("--tol", type=float, default=1e-6)
-    common(sp)
+    common(sp, formats=("text", "json"))
 
     return parser
 
@@ -294,6 +303,8 @@ def _verify_exact(n: int) -> tuple[list[str], dict, bool]:
 
 
 def _verify_numeric(ns: argparse.Namespace) -> tuple[list[str], dict, bool]:
+    from . import numeval
+
     report = numeval.numeric_verify(ns.n, ns.s_point, ns.cutoff, ns.tol)
     width = max(len(c.name) for c in report.checks)
     lines = [f"{'check'.ljust(width)}  {'residual':>12}  {'bound':>12}"]
@@ -307,8 +318,6 @@ def _verify_numeric(ns: argparse.Namespace) -> tuple[list[str], dict, bool]:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
-    if ns.fmt not in _VERIFY_FORMATS:
-        raise ValueError(f"verify supports formats {_VERIFY_FORMATS}, not {ns.fmt!r}")
     if ns.verify_mode != "exact" and ns.n * ns.cutoff > _NUMERIC_WORK_CEILING:
         raise ValueError(
             f"--n {ns.n} times --cutoff {ns.cutoff} is above the ceiling "

@@ -30,9 +30,9 @@ both inversions in `trilinalg` run it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import SingularMatrixError
 from .exactnum import rat_from_str, rat_to_str
 
@@ -90,7 +90,7 @@ def coeff_row(c: int) -> tuple[int, ...]:
 # matrices
 
 
-@dataclass(frozen=True)
+@record
 class CoeffMatrix:
     """Dense exact-rational matrix.
 
@@ -236,7 +236,7 @@ def power_sum_decomposition(e: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in coeff_row(e + 1))
 
 
-@dataclass(frozen=True)
+@record
 class PowerSumReport:
     """Outcome of the power-sum check for e = 1..e_max."""
 

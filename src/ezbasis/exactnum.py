@@ -14,10 +14,11 @@ B_n filling the table up to n once.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, mul
+
+from ._record import record
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -146,7 +147,7 @@ def gen_binomial(x: Fraction | int, k: int) -> Fraction:
     return num / den
 
 
-@dataclass(frozen=True)
+@record
 class FaulhaberPoly:
     """Closed form of the power sum S_c(n) = sum_{m=1}^{n-1} m^c.
 

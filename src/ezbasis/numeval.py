@@ -54,13 +54,13 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from math import comb, lcm
 from operator import attrgetter, mul, truediv
 
+from ._record import record
 from .coeffs import tornheim_decomposition
 from .exactnum import bernoulli, faulhaber
 from .relations import basis_representation, relation_family
@@ -69,7 +69,7 @@ _SLACK = 17.0 / 16.0
 _MIN_SIGMA = 2.1
 
 
-@dataclass(frozen=True)
+@record
 class NumericResult:
     """A truncated series value with its rigorous truncation bound."""
 
@@ -353,14 +353,14 @@ def zeta_reference(s: complex) -> complex:
 # verification
 
 
-@dataclass(frozen=True)
+@record
 class NumericCheck:
     name: str
     residual: float
     bound: float
 
 
-@dataclass(frozen=True)
+@record
 class NumericReport:
     """Residuals of every identity of the size-N family at one point."""
 

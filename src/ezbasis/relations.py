@@ -24,10 +24,10 @@ Their exact agreement for every m is one of the package's main checks.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+from ._record import record
 from .coeffs import ONE, ZERO, build_matrix_A, coeff_row, split_A1_A2
 from .errors import VerificationError
 from .exactnum import _over_lcm, rat_to_str
@@ -77,7 +77,7 @@ def render_combination(
     return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@record
 class RelationVector:
     """One Q-linear relation sum_p coefficients[p] * f_p = 0.
 
@@ -134,7 +134,7 @@ def relation_family(N: int) -> list[RelationVector]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class BasisRepresentation:
     """zeta(-2m-1, s+2m+1) written over the even-index basis.
 
@@ -316,7 +316,7 @@ def dimension(N: int) -> int:
     return N // 2 + 1
 
 
-@dataclass(frozen=True)
+@record
 class BasisFunction:
     """Descriptor of one even-index basis member zeta(-c, s+c)."""
 

@@ -184,8 +184,10 @@ def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
 
 def _scaled_to_int(vec: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """Integer numerators of vec over the lcm of its denominators, and that lcm."""
-    den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec], den
+    # `denominator` is a Python-level property: read it once per entry
+    dens = [x.denominator for x in vec]
+    den = lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(vec, dens)], den
 
 
 def row_sums(M: CoeffMatrix) -> tuple[Fraction, ...]:

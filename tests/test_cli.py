@@ -350,7 +350,17 @@ class TestVerify:
     def test_latex_not_supported(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "4", "--format", "latex")
         assert code == 2
-        assert "verify supports" in err
+        assert "invalid choice: 'latex'" in err
+
+    def test_format_choices_live_in_the_parser(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "4", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv' (choose from 'text', 'json')" in err
+        parser = cli._build_parser()
+        for argv in (["matrix", "--n", "4"], ["invert", "--n", "4"], ["relations", "--n", "4"],
+                     ["basis", "--m", "1"], ["poles", "--n", "2"], ["expand", "--c", "2"]):
+            for fmt in ("text", "json", "latex", "csv"):
+                assert parser.parse_args([*argv, "--format", fmt]).fmt == fmt
 
     def test_negative_non_finite_s_is_a_value(self, capsys):
         # "-inf" starts with '-', yet it is the value of --s, not an option
