@@ -284,17 +284,18 @@ class ExactRelationReport:
 
 
 @cache
-def _expansion_ints(c: int) -> tuple[int, tuple[int, ...]]:
-    """zeta_shift_expansion(c).q as (least common denominator, integer numerators).
+def _expansion_ints(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """zeta_shift_expansion(c).q as (least common denominator, nonzero (j, numerator)).
 
     Truncates the Faulhaber numerators as `zeta_shift_expansion` does
     and divides out their gcd with the denominator, without building
-    a `Fraction`; the anchors were checked by `_faulhaber_ints`.
+    a `Fraction`; the anchors were checked by `_faulhaber_ints`.  The
+    zeros, about half since odd Bernoulli numbers vanish, are left out.
     """
     den, nums = _faulhaber_ints(c)
     q = nums if c == 0 else nums[: c + 1]
     g = gcd(den, *q)
-    return den // g, tuple(x // g for x in q)
+    return den // g, tuple((j, x // g) for j, x in enumerate(q) if x)
 
 
 def collapse_relation(rel: RelationVector) -> dict[int, Fraction]:
@@ -309,15 +310,15 @@ def collapse_relation(rel: RelationVector) -> dict[int, Fraction]:
     for p, w in enumerate(rel.coefficients):
         if w == 0:
             continue
-        den, nums = _expansion_ints(p)
-        terms.append((w.numerator, w.denominator * den * (2 if p == 0 else 1), nums))
+        den, pairs = _expansion_ints(p)
+        terms.append((w.numerator, w.denominator * den * (2 if p == 0 else 1), pairs))
     D = lcm(*(d for _, d, _ in terms))
-    acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
-    for wn, d, nums in terms:
+    # position p expands over j <= p, and position 0 over j <= 1
+    acc = [0] * (len(rel.coefficients) + 1)
+    for wn, d, pairs in terms:
         f = wn * (D // d)
-        for j, x in enumerate(nums):
-            if x:
-                acc[j] += f * x
+        for j, x in pairs:
+            acc[j] += f * x
     return {j: Fraction(v, D) for j, v in enumerate(acc) if v}
 
 

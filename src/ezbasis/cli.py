@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("relations", help="the Q-linear relation family")
     sp.add_argument("--n", required=True,
-                    type=_at_most(600, "two inversions grow like N^4"))
+                    type=_at_most(600, "per-relation back-substitutions grow like N^4"))
     common(sp)
 
     sp = sub.add_parser("basis", help="basis representation of one odd-index member")

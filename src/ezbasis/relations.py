@@ -8,11 +8,13 @@ function zeta(0,s)/2.  The halving is pure bookkeeping inherited from
 the constant row of the coefficient matrix; every public
 BasisRepresentation folds it away and speaks about zeta(0,s) itself.
 
-Two independent derivations of the same basis coefficients exist:
+`relation_family` and the matrix path below share one back-substitution
+on the integer coefficient rows and build no inverse.  Two independent
+derivations of the same basis coefficients exist:
 
 * `basis_representation` reads them off a row of A2 * A1^(-1), pure
   exact linear algebra on the integer coefficient rows, by one
-  back-substitution against A1 with no inverse built;
+  back-substitution against A1;
 * `residue_system_representation` never touches the matrix and instead
   matches pole residues of the meromorphic continuations, walking the
   shared pole locations from the lowest up and solving one linear
@@ -23,15 +25,15 @@ Their exact agreement for every m is one of the package's main checks.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 from ._record import record
-from .coeffs import ONE, ZERO, build_matrix_A, coeff_row, split_A1_A2
+from .coeffs import ONE, ZERO, coeff_row
 from .errors import VerificationError
 from .exactnum import _over_lcm, rat_to_str
-from .trilinalg import invert_forward
 
 MATRIX_PATH = "matrix_path"
 RESIDUE_PATH = "residue_path"
@@ -116,22 +118,59 @@ def relation_family(N: int) -> list[RelationVector]:
 
     Row i of A1^(-1) contributes the even positions and row i of
     -A2^(-1) the odd positions of relation i; relation 1 is
-    zeta(0,s)/2 - zeta(-1,s+1) = 0.
+    zeta(0,s)/2 - zeta(-1,s+1) = 0.  Each row is one `_solve_left`,
+    x * A1 = e_i or y * A2 = e_i, on the leading (i+1)-square block.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     n_prime = N // 2
-    a1, a2 = split_A1_A2(build_matrix_A(N))
-    inv1 = invert_forward(a1).entries
-    inv2 = invert_forward(a2).entries
+    cols1, cols2 = _columns(1, n_prime), _columns(2, n_prime)
     out = []
     for i in range(n_prime):
+        unit, where = [0] * i + [1], f"relation {i + 1}"
+        x, dx = _solve_left(cols1, unit, 1, where)
+        y, dy = _solve_left(cols2, unit, 2, where)
         coeffs = [ZERO] * (2 * n_prime)
-        for k in range(n_prime):
-            coeffs[2 * k] = inv1[i][k]
-            coeffs[2 * k + 1] = -inv2[i][k]
+        coeffs[0:2 * i + 2:2] = [Fraction(v, dx) for v in x]
+        coeffs[1:2 * i + 2:2] = [Fraction(-v, dy) for v in y]
         out.append(RelationVector(coefficients=tuple(coeffs), provenance=MATRIX_PATH))
     return out
+
+
+def _columns(half: int, n: int) -> list[list[int]]:
+    """Columns of the leading n-square block of A1 or A2 (half = 1, 2), pivot first."""
+    rows = [coeff_row(2 * l + half) for l in range(n)]
+    return [[row[k] for row in rows[k:]] for k in range(n)]
+
+
+def _solve_left(cols: list[list[int]], target: Sequence[int], half: int,
+                context: str) -> tuple[list[int], int]:
+    """x with x * B = target on the leading square block B of `_columns` cols.
+
+    Back-substitution from the last unknown down, with x as integer
+    numerators over one returned common denominator: one C-level dot
+    product with column k and one gcd per pivot, and only a cofactor
+    other than +-1 rescales x.  A zero pivot raises VerificationError.
+    """
+    n = len(target)
+    num, den = [0] * n, 1
+    for k in range(n - 1, -1, -1):
+        rhs = den * target[k] - sum(map(mul, num[k + 1:], cols[k][1:n - k]))
+        piv = cols[k][0]
+        if piv == 0:
+            raise VerificationError(
+                f"zero pivot a_{{{2 * k + half},{k + 1}}} at diagonal position "
+                f"{k + 1} of A{half} in the solve for {context}"
+            )
+        g = gcd(rhs, piv)
+        rhs, piv = rhs // g, piv // g
+        if abs(piv) == 1:
+            num[k] = rhs * piv
+        else:
+            num = [x * piv for x in num]
+            num[k] = rhs
+            den *= piv
+    return num, den
 
 
 @record
@@ -214,36 +253,15 @@ def basis_representation(m: int) -> BasisRepresentation:
     inverse by solving x * A1 = (row m+1 of A2).  Both halves are lower
     triangular, so only the leading (m+1) x (m+1) block of A1 takes
     part: its row l is the integer row a_{2l+1,.} and the target is
-    a_{2m+2,.}, both read from `coeff_row`.  Back-substitution runs
-    from x_m down to x_0, keeping x as integer numerators over one
-    common denominator; the pivots are A1's diagonal entries (+-1 or
-    +-2), and a zero pivot raises VerificationError.  The entries
-    weight (zeta(0,s)/2, zeta(-2,s+2), ...), so x_0 is halved into
-    gamma[0].
+    a_{2m+2,.}, both read from `coeff_row`.  The back-substitution is
+    `_solve_left`, as in `relation_family`; its pivots are A1's diagonal
+    entries (+-1 or +-2), and a zero pivot raises VerificationError.
+    The entries weight (zeta(0,s)/2, zeta(-2,s+2), ...), so x_0 is
+    halved into gamma[0].
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    a1 = [coeff_row(2 * l + 1) for l in range(m + 1)]
-    target = coeff_row(2 * m + 2)
-    num = [0] * (m + 1)
-    den = 1
-    for k in range(m, -1, -1):
-        rhs = den * target[k] - sum(num[l] * a1[l][k] for l in range(k + 1, m + 1))
-        piv = a1[k][k]
-        if piv == 0:
-            raise VerificationError(
-                f"zero pivot a_{{{2 * k + 1},{k + 1}}} at diagonal position "
-                f"{k + 1} of A1 in the solve for m = {m}"
-            )
-        g = gcd(rhs, piv)
-        rhs //= g
-        piv //= g
-        if abs(piv) == 1:
-            num[k] = rhs * piv
-        else:
-            num = [x * piv for x in num]
-            num[k] = rhs
-            den *= piv
+    num, den = _solve_left(_columns(1, m + 1), coeff_row(2 * m + 2), 1, f"m = {m}")
     gamma = [Fraction(num[0], 2 * den)] + [Fraction(x, den) for x in num[1:]]
     return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=MATRIX_PATH)
 

@@ -81,8 +81,26 @@ class TestRelationFamily:
                 assert fam[i].coefficients[2 * k] == A1_INV_12[i][k]
                 assert fam[i].coefficients[2 * k + 1] == -A2_INV_12[i][k]
 
+    def test_interleaves_the_forward_inverses(self):
+        # the route the back-substitutions replaced: both inverses in full
+        for N in range(2, 61):
+            a1, a2 = split_A1_A2(build_matrix_A(N))
+            inv1 = invert_forward(a1).entries
+            inv2 = invert_forward(a2).entries
+            expected = [
+                tuple(v for x, y in zip(r1, r2) for v in (x, -y))
+                for r1, r2 in zip(inv1, inv2)
+            ]
+            assert [r.coefficients for r in relation_family(N)] == expected, f"N = {N}"
+
     def test_provenance(self):
         assert all(r.provenance == MATRIX_PATH for r in relation_family(8))
+
+    def test_imports_nothing_from_trilinalg(self):
+        assert not any(
+            getattr(obj, "__module__", None) == trilinalg.__name__
+            for obj in vars(relations).values()
+        )
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -217,16 +235,25 @@ class TestRowKernelAgainstFractionLoop:
 
     def test_builds_no_inverse(self, monkeypatch):
         reference = _gamma_reference(50)
+        kernel = relations._solve_left
+        solves = []
 
         def refuse(*args, **kwargs):
             raise AssertionError("basis_representation must not invert a matrix")
 
+        def spy(cols, target, half, context):
+            solves.append((len(target), half))
+            return kernel(cols, target, half, context)
+
         for name, obj in vars(trilinalg).items():
             if inspect.isfunction(obj) and obj.__module__ == trilinalg.__name__:
                 monkeypatch.setattr(trilinalg, name, refuse)
-        monkeypatch.setattr(relations, "invert_forward", refuse)
+        monkeypatch.setattr(relations, "relation_family", refuse)
+        monkeypatch.setattr(relations, "_solve_left", spy)
         for m, ref in enumerate(reference):
             assert basis_representation(m).gamma == ref, f"m = {m}"
+        # one solve against the leading block of A1 per row, no inverse rows
+        assert solves == [(m + 1, 1) for m in range(50)]
 
 
 def _corrupt_row(monkeypatch, c, d, value):
@@ -243,6 +270,15 @@ class TestBackSubstitutionSafety:
         _corrupt_row(monkeypatch, 7, 4, 0)
         with pytest.raises(VerificationError, match=r"a_\{7,4\}.*position 4"):
             basis_representation(5)
+
+    @pytest.mark.parametrize("c, d, half", [(7, 4, 1), (10, 5, 2)])
+    def test_zero_pivot_in_the_relation_family(self, monkeypatch, c, d, half):
+        # a_{7,4} is the fourth diagonal entry of A1, a_{10,5} the fifth of A2
+        _corrupt_row(monkeypatch, c, d, 0)
+        with pytest.raises(
+            VerificationError, match=rf"a_\{{{c},{d}\}} at diagonal position {d} of A{half}"
+        ):
+            relation_family(12)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_corrupted_a2_entry_is_caught(self, monkeypatch, d):
@@ -326,7 +362,7 @@ class TestResiduePath:
             for name, obj in vars(module).items():
                 if inspect.isfunction(obj) and obj.__module__ == module.__name__:
                     monkeypatch.setattr(module, name, refuse)
-        for name in ("build_matrix_A", "coeff_row", "split_A1_A2", "invert_forward"):
+        for name in ("coeff_row", "_columns", "_solve_left"):
             monkeypatch.setattr(relations, name, refuse)
         assert [residue_system_representation(m).gamma for m in range(21)] == reference
 
