@@ -9,7 +9,7 @@ catalogs every pole with its exact residue, and verifies all of it
 through independent oracles: a second inversion algorithm, a
 residue-matching derivation of the basis coefficients, an exact
 expansion over shifted Riemann zeta functions, and floating-point
-summation with rigorous truncation bounds.  All symbolic data is
+summation with truncation bounds.  All symbolic data is
 `fractions.Fraction`; nothing symbolic ever touches a float.
 """
 
@@ -17,8 +17,6 @@ from .coeffs import (
     CoeffMatrix,
     PowerSumReport,
     build_matrix_A,
-    coeff_a,
-    power_sum_decomposition,
     split_A1_A2,
     tornheim_decomposition,
     verify_power_sum_identity,
@@ -34,15 +32,7 @@ from .analytic import (
     zeta_shift_expansion,
 )
 from .errors import SingularMatrixError, VerificationError
-from .exactnum import (
-    FaulhaberPoly,
-    bernoulli,
-    faulhaber,
-    gen_binomial,
-    rat_from_str,
-    rat_to_str,
-    zeta_neg,
-)
+from .exactnum import FaulhaberPoly, bernoulli, faulhaber, rat_to_str
 from .relations import (
     BasisFunction,
     BasisRepresentation,
@@ -53,7 +43,7 @@ from .relations import (
     relation_family,
     residue_system_representation,
 )
-from .trilinalg import det_Dij, invert_cofactor, invert_forward, mat_mul, row_sums
+from .trilinalg import invert_cofactor, invert_forward, mat_mul
 
 __version__ = "0.1.0"
 
@@ -75,32 +65,24 @@ __all__ = [
     "basis_representation",
     "bernoulli",
     "build_matrix_A",
-    "coeff_a",
-    "det_Dij",
     "dimension",
     "eval_ez_double",
     "eval_tornheim",
     "faulhaber",
-    "gen_binomial",
     "independence_witness",
     "invert_cofactor",
     "invert_forward",
     "mat_mul",
     "numeric_verify",
     "pole_table",
-    "power_sum_decomposition",
-    "rat_from_str",
     "rat_to_str",
     "relation_family",
     "residue_system_representation",
     "residues_from_expansion",
-    "row_sums",
     "split_A1_A2",
     "tornheim_decomposition",
-    "tornheim_inner_sum",
     "verify_power_sum_identity",
     "verify_relations_exact",
-    "zeta_neg",
     "zeta_reference",
     "zeta_shift_expansion",
 ]
@@ -113,7 +95,6 @@ _NUMEVAL_EXPORTS = frozenset({
     "eval_ez_double",
     "eval_tornheim",
     "numeric_verify",
-    "tornheim_inner_sum",
     "zeta_reference",
 })
 

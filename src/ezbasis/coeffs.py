@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import SingularMatrixError
-from .exactnum import rat_from_str, rat_to_str
+from .exactnum import rat_to_str
 
 # shared entries: a grid that reuses these compares them by identity
 ZERO = Fraction(0)
@@ -71,11 +71,6 @@ def _coeff_int(c: int, d: int) -> int:
         return 0
     _ensure_rows(c)
     return _coeff_rows[c - 1][d - 1]
-
-
-def coeff_a(c: int, d: int) -> Fraction:
-    """The coefficient a_{c,d}, memoized; see the module docstring."""
-    return Fraction(_coeff_int(c, d))
 
 
 def coeff_row(c: int) -> tuple[int, ...]:
@@ -126,17 +121,6 @@ class CoeffMatrix:
         rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         return cls.from_rows(rows)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> CoeffMatrix:
-        """Parse the {"rows":…,"cols":…,"entries":[[…]]} encoding."""
-        try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
-            grid = [[rat_from_str(x) for x in row] for row in data["entries"]]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed matrix object: {exc}") from exc
-        return cls(rows=rows, cols=cols, entries=tuple(tuple(r) for r in grid))
-
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
@@ -176,23 +160,21 @@ def build_matrix_A(N: int) -> CoeffMatrix:
     return CoeffMatrix.from_rows(rows)
 
 
-def require_lower_triangular(M: CoeffMatrix, *, nonsingular: bool = True) -> None:
-    """Reject M unless it is square and zero above the diagonal.
+def require_lower_triangular(M: CoeffMatrix) -> None:
+    """Reject M unless it is square, zero above the diagonal and nonzero on it.
 
-    Shape problems raise ValueError.  With `nonsingular` (the default)
-    a zero diagonal entry then raises the more specific
-    SingularMatrixError; the shape is checked in full first, so that
-    error always means a well-shaped but singular matrix.
+    Shape problems raise ValueError.  A zero diagonal entry then raises
+    the more specific SingularMatrixError; the shape is checked in full
+    first, so that error always means a well-shaped but singular matrix.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     for i, row in enumerate(M.entries):
         if any(x != 0 for x in row[i + 1:]):
             raise ValueError(f"nonzero entry above the diagonal in row {i + 1}")
-    if nonsingular:
-        for i, row in enumerate(M.entries):
-            if row[i] == 0:
-                raise SingularMatrixError(f"zero diagonal entry at position {i + 1}")
+    for i, row in enumerate(M.entries):
+        if row[i] == 0:
+            raise SingularMatrixError(f"zero diagonal entry at position {i + 1}")
 
 
 def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
@@ -220,22 +202,6 @@ def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
 # power-sum verification
 
 
-def power_sum_decomposition(e: int) -> tuple[Fraction, ...]:
-    """Row e+1 of the coefficient family, (a_{e+1,1}, ..., a_{e+1,ceil((e+1)/2)}).
-
-    The returned vector satisfies
-
-        m^e + n^e = sum_d a_{e+1,d} m^(d-1) n^(d-1) (m+n)^(e-2d+2)
-
-    for every e >= 1.  For e = 0 the same row decomposes the halved
-    constant (m^0 + n^0)/2 instead; callers that need the identity
-    should start at e = 1.
-    """
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    return tuple(Fraction(x) for x in coeff_row(e + 1))
-
-
 @record
 class PowerSumReport:
     """Outcome of the power-sum check for e = 1..e_max."""
@@ -252,10 +218,13 @@ class PowerSumReport:
 def verify_power_sum_identity(e_max: int) -> PowerSumReport:
     """Check each decomposition against m^e + n^e by Kronecker substitution.
 
-    Runs e = 1..e_max (exponent 0 is the halved constant row, see
-    `power_sum_decomposition`).  Both sides are homogeneous of degree
-    e, so the identity holds if and only if it holds at n = 1 as a
-    polynomial identity in x = m:
+    Runs e = 1..e_max on row e+1 of the family, which should satisfy
+
+        m^e + n^e = sum_d a_{e+1,d} m^(d-1) n^(d-1) (m+n)^(e-2d+2)
+
+    (exponent 0 is the halved constant row, see the module docstring).
+    Both sides are homogeneous of degree e, so the identity holds if
+    and only if it holds at n = 1 as a polynomial identity in x = m:
 
         x^e + 1 = sum_d a_{e+1,d} x^(d-1) (1+x)^(e-2d+2).
 

@@ -1,6 +1,5 @@
-"""Exact scalar arithmetic: rationals, Bernoulli numbers, zeta values at
-non-positive integers, generalized binomial coefficients, and power-sum
-(Faulhaber) polynomials.
+"""Exact scalar arithmetic: the canonical string form of a rational,
+Bernoulli numbers, and power-sum (Faulhaber) polynomials.
 
 Everything in this module is exact.  Rationals are `fractions.Fraction`
 at every interface; no float ever enters or leaves.  The inner loops do
@@ -27,20 +26,6 @@ def rat_to_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    """Parse the "p/q" / "p" forms produced by `rat_to_str`.
-
-    Anything else, including a value that is not a string, raises
-    ValueError.
-    """
-    if not isinstance(s, str):
-        raise ValueError(f"not a rational literal: {s!r}")
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {s!r}") from exc
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -108,43 +93,6 @@ def bernoulli(n: int) -> Fraction:
         _bern_ints = (list(_bern_cache), den, nums)
         _pascal_row = row
     return _bern_cache[n]
-
-
-def zeta_neg(k: int) -> Fraction:
-    """zeta(-k) for an integer k >= 0, as an exact rational.
-
-    zeta(0) = -1/2, and zeta(-k) = -B_{k+1}/(k+1) for k >= 1; in
-    particular zeta(-2k) = 0 for k >= 1.
-    """
-    if k < 0:
-        raise ValueError("argument must be a non-positive integer point, got -k with k < 0")
-    if k == 0:
-        return Fraction(-1, 2)
-    return -bernoulli(k + 1) / (k + 1)
-
-
-def gen_binomial(x: Fraction | int, k: int) -> Fraction:
-    """Generalized binomial coefficient C(x, k) = x(x-1)...(x-k+1)/k!.
-
-    Defined for any rational x and integer k >= 0; C(x, 0) = 1.
-    Negative integer tops are routine here, e.g. C(-2, 1) = -2.  An
-    integer top goes through `math.comb`, using
-    C(x, k) = (-1)^k C(k-x-1, k) for x < 0; only a non-integer top
-    multiplies out the falling factorial.
-    """
-    if k < 0:
-        raise ValueError("lower index must be >= 0")
-    x = Fraction(x)
-    if x.denominator == 1:
-        top = x.numerator
-        return Fraction(comb(top, k) if top >= 0 else (-1) ** k * comb(k - top - 1, k))
-    num = Fraction(1)
-    for i in range(k):
-        num *= x - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    return num / den
 
 
 @record

@@ -1,4 +1,4 @@
-"""Floating-point direct summation of the double series, with rigorous
+"""Floating-point direct summation of the double series, with
 truncation bounds, used to spot-check the exact identities at sample
 points.
 
@@ -6,9 +6,7 @@ All inner sums (the power sums S_c(n) and the Tornheim convolutions)
 are carried in exact integer arithmetic and converted to float once per
 outer term; outer sums go through math.fsum, so float error never
 accumulates across terms: each term carries only the roundings of its
-own conversion and products, and the total one more.  That keeps
-observed residuals orders of magnitude below the reported truncation
-bounds.
+own conversion and products, and the total one more.
 
 Each series is a pipeline of C-level iterators rather than a Python
 loop.  The power sums are the running totals
@@ -188,21 +186,6 @@ def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
     )
 
 
-def tornheim_inner_sum(a: int, N: int) -> int:
-    """Exact convolution sum_{m=1}^{N-1} m^a (N-m)^a.
-
-    Symmetric under m <-> N-m, so it is computed as twice the half
-    range plus the middle term for even N.
-    """
-    if a < 0 or N < 1:
-        raise ValueError("require a >= 0 and N >= 1")
-    half = (N - 1) // 2
-    total = 2 * sum(m**a * (N - m) ** a for m in range(1, half + 1))
-    if N % 2 == 0:
-        total += (N // 2) ** (2 * a)
-    return total
-
-
 def _tornheim_poly(a: int) -> tuple[list[int], int]:
     """Integer closed form of the convolution: C_a(N) = P(N)/den.
 
@@ -233,8 +216,8 @@ def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
     """Truncated Tornheim value T(-a, -a; s+2a) = sum C_a(N) N^(-s-2a).
 
     Evaluated through the integer closed form of C_a rather than the
-    O(N) convolution per term; `tornheim_inner_sum` provides the direct
-    convolution for cross-checking.  Same domain as `eval_ez_double`.
+    O(N) convolution per term; the tests check that closed form against
+    the direct convolution.  Same domain as `eval_ez_double`.
     """
     if a < 0:
         raise ValueError("a must be >= 0")
@@ -398,8 +381,8 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
 
     Covers the relation family, the basis representations for
     m <= floor((N-1)/2), and the Tornheim decomposition of every row.
-    Each check carries the rigorous bound on its residual implied by
-    the truncation bounds of the evaluations involved.  Those bounds
+    Each check carries a bound on its residual built from the
+    truncation bounds of the evaluations involved.  Those bounds
     are closed forms, so tol at or below the largest of them is
     rejected before any series is summed, since a failure could then
     never be attributed to a wrong identity; so is an infinite tol,

@@ -1,18 +1,17 @@
 """Exact linear algebra for lower-triangular rational matrices.
 
 Two independent inversion algorithms are provided on purpose.
-`invert_forward` is plain forward substitution and is the default
-everywhere.  `invert_cofactor` computes every inverse entry from the
-determinant formula
+`invert_forward` is plain forward substitution; the `invert` command
+prints its result.  `invert_cofactor` computes every inverse entry
+from the determinant formula
 
     inv[i][j] = (-1)^(i-j) D_{i,j} / (a_{j,j} a_{j+1,j+1} ... a_{i,i})
 
 where D_{i,j} is the minor built from rows j+1..i and columns j..i-1
-(1-indexed), with D_{i,j} = a_{i,j} when i = j+1.  Agreement of the two
-algorithms on the same input is used as a machine check throughout the
-test suite; `det_Dij` exposes the minors themselves through a third
-route (fraction-free elimination) so the shared recurrence below is
-cross-checked as well.
+(1-indexed), with D_{i,j} = a_{i,j} when i = j+1.  `invert --oracle`
+and the test suite check that the two algorithms agree on the same
+input, and the tests re-evaluate the minors by fraction-free
+elimination, so the recurrence below is cross-checked as well.
 
 All three kernels (both inversions and `mat_mul`) run on integers: each
 row (for `mat_mul` also each column of the right factor) is scaled by
@@ -85,8 +84,8 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
     substitution.  The recurrence runs on the rows scaled to integers,
     B_i = d_i * M_i: scaling row i scales every minor through it, so
     inv[j+k][j] = (-1)^k d_k(B) * d_j / (b_{j,j} ... b_{j+k,j+k}), one
-    Fraction per entry.  The recurrence itself is cross-checked against
-    `det_Dij`, which evaluates the same minors by elimination.
+    Fraction per entry.  The tests re-evaluate the same minors by
+    fraction-free elimination, so the recurrence itself is cross-checked.
     """
     require_lower_triangular(M)
     n = M.rows
@@ -113,48 +112,6 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
             denom *= row[j + k]
             inv[j + k][j] = Fraction((d[k] if k % 2 == 0 else -d[k]) * scale[j], denom)
     return CoeffMatrix.from_rows(inv)
-
-
-def det_Dij(M: CoeffMatrix, i: int, j: int) -> Fraction:
-    """The minor D_{i,j} of the cofactor formula, for 1-indexed i > j.
-
-    Extracts rows j+1..i and columns j..i-1 and evaluates the
-    determinant by fraction-free (Bareiss) elimination after clearing
-    denominators, with row swaps when a pivot vanishes.  For i = j+1
-    this degenerates to the single entry a_{i,j}.
-    """
-    require_lower_triangular(M, nonsingular=False)
-    if not (1 <= j < i <= M.rows):
-        raise ValueError("require 1 <= j < i <= n")
-    size = i - j
-    scale = Fraction(1)
-    block: list[list[int]] = []
-    for r in range(j, i):
-        raw = [M.entries[r][col] for col in range(j - 1, i - 1)]
-        den = lcm(*(x.denominator for x in raw))
-        scale /= den
-        block.append([int(x * den) for x in raw])
-    return scale * _bareiss_det(block, size)
-
-
-def _bareiss_det(m: list[list[int]], n: int) -> int:
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
@@ -189,7 +146,3 @@ def _scaled_to_int(vec: tuple[Fraction, ...]) -> tuple[list[int], int]:
     den = lcm(*dens)
     return [x.numerator * (den // d) for x, d in zip(vec, dens)], den
 
-
-def row_sums(M: CoeffMatrix) -> tuple[Fraction, ...]:
-    """Per-row entry sums; (1, 0, ..., 0) for the inverses built here."""
-    return tuple(sum(row, Fraction(0)) for row in M.entries)

@@ -30,8 +30,9 @@ from ezbasis.relations import (
     dimension,
     residue_system_representation,
 )
-from ezbasis.trilinalg import invert_cofactor, invert_forward, mat_mul, row_sums
+from ezbasis.trilinalg import invert_cofactor, invert_forward, mat_mul
 from golden_values import A1_INV_12, A2_INV_12, A_12, GAMMA
+from reference import row_sums
 
 
 @contextmanager

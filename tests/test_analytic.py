@@ -28,13 +28,14 @@ from ezbasis.analytic import (
     zeta_shift_expansion,
 )
 from ezbasis.errors import VerificationError
-from ezbasis.exactnum import faulhaber, gen_binomial, zeta_neg
+from ezbasis.exactnum import faulhaber
 from ezbasis.relations import (
     MATRIX_PATH,
     RelationVector,
     basis_representation,
     relation_family,
 )
+from reference import gen_binomial, zeta_neg
 
 
 class TestPoleTable:

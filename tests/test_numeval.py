@@ -17,11 +17,11 @@ from ezbasis.numeval import (
     eval_ez_double,
     eval_tornheim,
     numeric_verify,
-    tornheim_inner_sum,
     zeta_reference,
 )
 from ezbasis.relations import basis_representation, relation_family
 from golden_values import ZETA_4_PLUS_3I, ZETA_5_HALVES, ZETA_7_HALVES
+from reference import tornheim_inner_sum
 
 
 def _reference_term_float(big: int, n: int, expo: float) -> float:

@@ -3,6 +3,7 @@ and the value records it returns."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -47,6 +48,23 @@ def test_every_public_binding_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert bound <= set(ezbasis.__all__), sorted(bound - set(ezbasis.__all__))
+
+
+def test_reference_routes_import_only_their_inputs():
+    # the routes in tests/reference.py check trilinalg, analytic, relations
+    # and numeval; importing any of them would compare a route with itself
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+    from_ezbasis = {(m, n) for m, n in imported if m.startswith(("ezbasis", "."))}
+    assert from_ezbasis == {("ezbasis.coeffs", "CoeffMatrix"), ("ezbasis.exactnum", "bernoulli")}
+    for forbidden in ("trilinalg", "analytic", "relations", "numeval"):
+        assert not any(forbidden in m or n == forbidden for m, n in imported), forbidden
 
 
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:

@@ -11,7 +11,6 @@ import pytest
 from ezbasis import coeffs, relations, trilinalg
 from ezbasis.coeffs import build_matrix_A, split_A1_A2
 from ezbasis.errors import VerificationError
-from ezbasis.exactnum import gen_binomial
 from ezbasis.relations import (
     MATRIX_PATH,
     RESIDUE_PATH,
@@ -27,6 +26,7 @@ from ezbasis.relations import (
 )
 from ezbasis.trilinalg import invert_forward
 from golden_values import A1_INV_12, A2_INV_12, BASIS_LATEX_M5, GAMMA
+from reference import gen_binomial
 
 
 class TestFunctionLabel:
@@ -258,7 +258,7 @@ class TestRowKernelAgainstFractionLoop:
 
 def _corrupt_row(monkeypatch, c, d, value):
     # a copy of the family with a_{c,d} replaced; rows 1..12 are built first
-    coeffs.coeff_a(12, 1)
+    coeffs.coeff_row(12)
     rows = [list(r) for r in coeffs._coeff_rows]
     rows[c - 1][d - 1] = value
     monkeypatch.setattr(coeffs, "_coeff_rows", rows)
@@ -283,7 +283,7 @@ class TestBackSubstitutionSafety:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_corrupted_a2_entry_is_caught(self, monkeypatch, d):
         # row 12 of the family is row 6 of A2, the target row for m = 5
-        _corrupt_row(monkeypatch, 12, d, coeffs.coeff_a(12, d).numerator + 1)
+        _corrupt_row(monkeypatch, 12, d, coeffs.coeff_row(12)[d - 1] + 1)
         try:
             rep = basis_representation(5)
         except VerificationError:
