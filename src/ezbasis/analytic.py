@@ -27,6 +27,7 @@ enforces exactly that.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
@@ -34,13 +35,7 @@ from math import comb, gcd, lcm
 from ._record import record
 from .errors import VerificationError
 from .exactnum import _faulhaber_ints, bernoulli, rat_to_str
-from .relations import (
-    BasisRepresentation,
-    RelationVector,
-    basis_representation,
-    function_label,
-    relation_family,
-)
+from .relations import RelationVector, _solved_rows, function_label
 
 S_EQ_2 = "s_eq_2"
 S_EQ_1 = "s_eq_1"
@@ -298,28 +293,50 @@ def _expansion_ints(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return den // g, tuple((j, x // g) for j, x in enumerate(q) if x)
 
 
-def collapse_relation(rel: RelationVector) -> dict[int, Fraction]:
-    """Coordinates of a relation on the zeta(s+j-1) symbols.
+def _collapse(terms: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
+    """(D, acc) with acc[j]/D the coordinate on zeta(s+j-1) of the terms (p, n, d).
 
-    Returns only the nonzero coordinates; an exact relation returns an
-    empty dict.  Position 0 contributes through half its expansion
-    because it stands for zeta(0,s)/2; that halving goes into its
-    term's denominator, and every term is put over the lcm D of those.
+    Term (p, n, d) weights position p by n/d, and position 0 through
+    half its expansion, as it stands for zeta(0,s)/2.  Each term is
+    reduced by its gcd, and all are put over the lcm D of the results.
     """
-    terms = []
-    for p, w in enumerate(rel.coefficients):
-        if w == 0:
-            continue
-        den, pairs = _expansion_ints(p)
-        terms.append((w.numerator, w.denominator * den * (2 if p == 0 else 1), pairs))
-    D = lcm(*(d for _, d, _ in terms))
+    scaled = []
+    for p, n, d in terms:
+        if n:
+            den, pairs = _expansion_ints(p)
+            d *= den * (2 if p == 0 else 1)
+            g = gcd(n, d)
+            scaled.append((n // g, d // g, pairs))
+    D = lcm(*(d for _, d, _ in scaled))
     # position p expands over j <= p, and position 0 over j <= 1
-    acc = [0] * (len(rel.coefficients) + 1)
-    for wn, d, pairs in terms:
-        f = wn * (D // d)
+    acc = [0] * (2 + max(p for p, _, _ in terms))
+    for n, d, pairs in scaled:
+        f = n * (D // d)
         for j, x in pairs:
             acc[j] += f * x
+    return D, acc
+
+
+def collapse_relation(rel: RelationVector) -> dict[int, Fraction]:
+    """Nonzero coordinates of a relation on the zeta(s+j-1) symbols; {} if exact."""
+    D, acc = _collapse([(p, w.numerator, w.denominator) for p, w in enumerate(rel.coefficients)])
     return {j: Fraction(v, D) for j, v in enumerate(acc) if v}
+
+
+def _family_terms(N: int) -> Iterator[tuple[str, list[tuple[int, int, int]]]]:
+    """(origin, `_collapse` terms) of each row `verify_relations_exact` collapses.
+
+    The integers come from `relations._solved_rows`; the representation
+    rows are those of `BasisRepresentation.as_relation_vector`.
+    """
+    rels, reps = _solved_rows(N // 2, range((N + 1) // 2))
+    for i, (x, dx, y, dy) in enumerate(rels, start=1):
+        yield f"relation {i}", ([(2 * k, v, dx) for k, v in enumerate(x)]
+                                + [(2 * k + 1, -v, dy) for k, v in enumerate(y)])
+    for m, (x, d) in enumerate(reps):
+        yield f"representation m = {m}", [(2 * m + 1, 1, 1)] + [
+            (2 * k, -v, d) for k, v in enumerate(x)
+        ]
 
 
 def verify_relations_exact(N: int) -> ExactRelationReport:
@@ -333,21 +350,14 @@ def verify_relations_exact(N: int) -> ExactRelationReport:
     if N < 2:
         raise ValueError("N must be >= 2")
     failures = []
-    rels = relation_family(N)
-    for idx, rel in enumerate(rels, start=1):
-        residual = collapse_relation(rel)
-        for j, v in sorted(residual.items()):
-            failures.append(f"relation {idx}: residual {v} on j = {j}")
-    m_top = (N - 1) // 2
-    for m in range(m_top + 1):
-        rep = basis_representation(m)
-        residual = collapse_relation(rep.as_relation_vector())
-        for j, v in sorted(residual.items()):
-            failures.append(f"representation m = {m}: residual {v} on j = {j}")
+    for origin, terms in _family_terms(N):
+        D, acc = _collapse(terms)
+        failures += [f"{origin}: residual {Fraction(v, D)} on j = {j}"
+                     for j, v in enumerate(acc) if v]
     return ExactRelationReport(
         n=N,
-        relations_checked=len(rels),
-        representations_checked=m_top + 1,
+        relations_checked=N // 2,
+        representations_checked=(N + 1) // 2,
         failures=tuple(failures),
     )
 

@@ -170,10 +170,10 @@ def require_lower_triangular(M: CoeffMatrix) -> None:
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     for i, row in enumerate(M.entries):
-        if any(x != 0 for x in row[i + 1:]):
+        if any(row[i + 1:]):
             raise ValueError(f"nonzero entry above the diagonal in row {i + 1}")
     for i, row in enumerate(M.entries):
-        if row[i] == 0:
+        if not row[i]:
             raise SingularMatrixError(f"zero diagonal entry at position {i + 1}")
 
 

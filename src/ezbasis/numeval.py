@@ -69,7 +69,7 @@ _MIN_SIGMA = 2.1
 
 @record
 class NumericResult:
-    """A truncated series value with its rigorous truncation bound."""
+    """A truncated series value with its truncation bound."""
 
     value: complex
     tail_bound: float

@@ -118,23 +118,38 @@ def relation_family(N: int) -> list[RelationVector]:
 
     Row i of A1^(-1) contributes the even positions and row i of
     -A2^(-1) the odd positions of relation i; relation 1 is
-    zeta(0,s)/2 - zeta(-1,s+1) = 0.  Each row is one `_solve_left`,
-    x * A1 = e_i or y * A2 = e_i, on the leading (i+1)-square block.
+    zeta(0,s)/2 - zeta(-1,s+1) = 0.  The rows come from `_solved_rows`.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     n_prime = N // 2
-    cols1, cols2 = _columns(1, n_prime), _columns(2, n_prime)
     out = []
-    for i in range(n_prime):
-        unit, where = [0] * i + [1], f"relation {i + 1}"
-        x, dx = _solve_left(cols1, unit, 1, where)
-        y, dy = _solve_left(cols2, unit, 2, where)
+    for x, dx, y, dy in _solved_rows(n_prime, range(0))[0]:
         coeffs = [ZERO] * (2 * n_prime)
-        coeffs[0:2 * i + 2:2] = [Fraction(v, dx) for v in x]
-        coeffs[1:2 * i + 2:2] = [Fraction(-v, dy) for v in y]
+        coeffs[0:2 * len(x):2] = [Fraction(v, dx) for v in x]
+        coeffs[1:2 * len(y):2] = [Fraction(-v, dy) for v in y]
         out.append(RelationVector(coefficients=tuple(coeffs), provenance=MATRIX_PATH))
     return out
+
+
+def _solved_rows(n_rel: int, ms: range) -> tuple[list, list]:
+    """`_solve_left`'s integer rows of relations 1..n_rel and representations m in ms.
+
+    Relation i+1 is (x, dx, y, dy): x * A1 = e_i gives x/dx on the even
+    positions, y * A2 = e_i gives -y/dy on the odd ones.  Representation
+    m is (x, d) as in `basis_representation`, checked by `_check_gamma`.
+    """
+    cols1, cols2 = _columns(1, max(n_rel, ms.stop)), _columns(2, n_rel)
+    rels = []
+    for i in range(n_rel):
+        unit, where = [0] * i + [1], f"relation {i + 1}"
+        rels.append((*_solve_left(cols1, unit, 1, where), *_solve_left(cols2, unit, 2, where)))
+    reps = []
+    for m in ms:
+        x, d = _solve_left(cols1, coeff_row(2 * m + 2), 1, f"m = {m}")
+        _check_gamma(m, x, d)
+        reps.append((x, d))
+    return rels, reps
 
 
 def _columns(half: int, n: int) -> list[list[int]]:
@@ -173,6 +188,20 @@ def _solve_left(cols: list[list[int]], target: Sequence[int], half: int,
     return num, den
 
 
+def _check_gamma(m: int, x: Sequence[int], den: int) -> None:
+    """Leading coefficient and residue balance on x/den = (2*gamma[0], gamma[1], ...).
+
+    The balance 2*gamma[0] + sum_{k>=1} gamma[k] = 1 is sum(x) = den.
+    """
+    head = 2 if m == 0 else 1
+    if 2 * x[m] != (2 * m + 1) * head * den:
+        raise VerificationError(
+            f"leading coefficient must be (2m+1)/2, got {Fraction(x[m], head * den)}"
+        )
+    if sum(x) != den:
+        raise VerificationError("residue balance 2*gamma_0 + sum gamma_2k = 1 violated")
+
+
 @record
 class BasisRepresentation:
     """zeta(-2m-1, s+2m+1) written over the even-index basis.
@@ -202,14 +231,8 @@ class BasisRepresentation:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if len(self.gamma) != self.m + 1:
             raise VerificationError("gamma must have length m + 1")
-        if self.gamma[self.m] != Fraction(2 * self.m + 1, 2):
-            raise VerificationError(
-                f"leading coefficient must be (2m+1)/2, got {self.gamma[self.m]}"
-            )
-        # the balance as one integer sum over the lcm of the denominators
         den, nums = _over_lcm(self.gamma)
-        if 2 * nums[0] + sum(nums[1:]) != den:
-            raise VerificationError("residue balance 2*gamma_0 + sum gamma_2k = 1 violated")
+        _check_gamma(self.m, [2 * nums[0], *nums[1:]], den)
 
     @property
     def target_label(self) -> str:
@@ -261,7 +284,7 @@ def basis_representation(m: int) -> BasisRepresentation:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    num, den = _solve_left(_columns(1, m + 1), coeff_row(2 * m + 2), 1, f"m = {m}")
+    [(num, den)] = _solved_rows(0, range(m, m + 1))[1]
     gamma = [Fraction(num[0], 2 * den)] + [Fraction(x, den) for x in num[1:]]
     return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=MATRIX_PATH)
 

@@ -302,6 +302,15 @@ def _vectors_n100():
     return rels + reps, corrupted
 
 
+def _terms(rel):
+    return [(p, w.numerator, w.denominator) for p, w in enumerate(rel.coefficients)]
+
+
+def _coordinates(terms):
+    D, acc = analytic._collapse(terms)
+    return {j: F(v, D) for j, v in enumerate(acc) if v}
+
+
 class TestCollapseAgainstFractionLoop:
     def test_family_n100_and_corruptions(self):
         exact, corrupted = _vectors_n100()
@@ -317,6 +326,7 @@ class TestCollapseAgainstFractionLoop:
     def test_independent_of_matrix_path(self, monkeypatch):
         exact, corrupted = _vectors_n100()
         expected = [_collapse_reference(rel) for rel in corrupted]
+        rows = [terms for _, terms in analytic._family_terms(100)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the collapse oracle must not use the matrix path")
@@ -324,21 +334,63 @@ class TestCollapseAgainstFractionLoop:
         for name, obj in vars(trilinalg).items():
             if inspect.isfunction(obj) and obj.__module__ == trilinalg.__name__:
                 monkeypatch.setattr(trilinalg, name, refuse)
-        for module in (relations, analytic):
-            monkeypatch.setattr(module, "basis_representation", refuse)
-        monkeypatch.setattr(relations, "_solve_left", refuse)
-        monkeypatch.setattr(relations, "coeff_row", refuse)
+        for name in ("relation_family", "basis_representation", "_solved_rows",
+                     "_solve_left", "coeff_row"):
+            monkeypatch.setattr(relations, name, refuse)
+        monkeypatch.setattr(analytic, "_solved_rows", refuse)
         monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)
         zeta_shift_expansion.cache_clear()
         for rel in exact:
             assert collapse_relation(rel) == {}
         assert [collapse_relation(rel) for rel in corrupted] == expected
+        # the integer kernel on the verify rows and on the same weights
+        for terms in rows:
+            assert not any(analytic._collapse(terms)[1])
+        assert [_coordinates(_terms(rel)) for rel in corrupted] == expected
 
     def test_imports_nothing_from_trilinalg(self):
         assert not any(
             getattr(obj, "__module__", None) == trilinalg.__name__
             for obj in vars(analytic).values()
         )
+
+
+class TestFamilyTerms:
+    @pytest.mark.parametrize("N", [2, 3, 12, 13, 61, 100])
+    def test_rows_match_the_public_objects(self, N):
+        # the integer rows the exact verify collapses are the relation
+        # vectors and representations, entry for entry
+        public = [(f"relation {i}", rel) for i, rel in enumerate(relation_family(N), start=1)]
+        public += [
+            (f"representation m = {m}", basis_representation(m).as_relation_vector())
+            for m in range((N + 1) // 2)
+        ]
+        rows = list(analytic._family_terms(N))
+        assert [origin for origin, _ in rows] == [origin for origin, _ in public]
+        for (origin, terms), (_, rel) in zip(rows, public):
+            weights = {p: F(n, d) for p, n, d in terms}
+            assert len(weights) == len(terms), origin
+            coeffs = [weights.pop(p, F(0)) for p in range(len(rel.coefficients))]
+            assert coeffs == list(rel.coefficients) and not weights, origin
+
+    def test_kernel_reduces_each_term(self):
+        # 6/4 of zeta(-1,s+1) is 3/2: unreduced terms give the same
+        # coordinates over the same least denominator
+        D, acc = analytic._collapse([(1, 6, 4)])
+        assert (D, acc) == analytic._collapse([(1, 3, 2)])
+        assert D == 4 and acc == [3, -3, 0]
+
+    def test_verify_builds_no_fraction_or_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact verify must stay on integer rows")
+
+        for module in (relations, analytic):
+            monkeypatch.setattr(module, "Fraction", refuse)
+        for name in ("RelationVector", "BasisRepresentation", "relation_family",
+                     "basis_representation"):
+            monkeypatch.setattr(relations, name, refuse)
+        report = verify_relations_exact(61)
+        assert report.ok and report.relations_checked == 30
 
 
 class TestVerifyRelationsExact:

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import ezbasis.cli as cli
+from ezbasis import coeffs
 from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.trilinalg import invert_forward
 from golden_values import BASIS_LATEX_M5, CLI_STDOUT
 from reference import matrix_from_json
+from test_relations import _corrupt_row
 
 
 def run_cli(capsys, *args):
@@ -447,18 +449,87 @@ class TestCeilings:
         assert (code, out) == (0, "stub\nresult: PASS\n")
 
 
+_EXACT_HEAD = "power-sum identity: PASS (e = 1..11)\n"
+_COLLAPSE_FAIL = "relation collapse: FAIL (6 relations, 6 representations)\n"
+
+
+class TestVerifyExactMutants:
+    """`verify --mode exact` itself prints FAIL for a corrupted row."""
+
+    @staticmethod
+    def _corrupt_solved_rows(monkeypatch, corrupt):
+        solved_rows = cli.analytic._solved_rows
+
+        def corrupted(n_rel, ms):
+            rels, reps = solved_rows(n_rel, ms)
+            corrupt(rels, reps)
+            return rels, reps
+
+        monkeypatch.setattr(cli.analytic, "_solved_rows", corrupted)
+
+    def test_corrupted_relation_row(self, capsys, monkeypatch):
+        # numerator x_0 of relation 2, over dx = -2: weight -1/2 more
+        # on zeta(0,s)/2
+        def corrupt(rels, reps):
+            rels[1][0][0] += 1
+
+        self._corrupt_solved_rows(monkeypatch, corrupt)
+        assert run_cli(capsys, "verify", "--n", "12", "--mode", "exact") == (1, (
+            _EXACT_HEAD + _COLLAPSE_FAIL
+            + "  relation 2: residual -1/4 on j = 0\n"
+            "  relation 2: residual 1/4 on j = 1\n"
+            "result: FAIL\n"
+        ), "")
+
+    def test_corrupted_representation_row(self, capsys, monkeypatch):
+        # numerator x_1 of m = 3, over d = -4: gamma_1 falls by 1/4
+        def corrupt(rels, reps):
+            reps[3][0][1] += 1
+
+        self._corrupt_solved_rows(monkeypatch, corrupt)
+        assert run_cli(capsys, "verify", "--n", "12", "--mode", "exact") == (1, (
+            _EXACT_HEAD + _COLLAPSE_FAIL
+            + "  representation m = 3: residual 1/12 on j = 0\n"
+            "  representation m = 3: residual -1/8 on j = 1\n"
+            "  representation m = 3: residual 1/24 on j = 2\n"
+            "result: FAIL\n"
+        ), "")
+
+    @pytest.mark.parametrize(
+        "c, d, out, err",
+        [
+            (12, 3, (
+                "power-sum identity: FAIL (e = 1..11)\n" + _COLLAPSE_FAIL
+                + "  power-sum failure at e = 11\n"
+                "  relation 6: residual -1/660 on j = 0\n"
+                "  relation 6: residual 1/660 on j = 4\n"
+                "  representation m = 5: residual -1/60 on j = 0\n"
+                "  representation m = 5: residual 1/60 on j = 4\n"
+                "result: FAIL\n"
+            ), ""),
+            (12, 1, "", "residue balance 2*gamma_0 + sum gamma_2k = 1 violated"),
+            (12, 6, "", "leading coefficient must be (2m+1)/2, got 5"),
+            (8, 4, "", "leading coefficient must be (2m+1)/2, got 3"),
+        ],
+        ids=["collapse", "balance", "leading-m5", "leading-m3"],
+    )
+    def test_corrupted_coefficient_row(self, capsys, monkeypatch, c, d, out, err):
+        # a_{c,d} raised by one
+        _corrupt_row(monkeypatch, c, d, coeffs.coeff_row(c)[d - 1] + 1)
+        got = run_cli(capsys, "verify", "--n", "12", "--mode", "exact")
+        assert got == (1, out, f"ezbasis: verification failure: {err}\n" if err else "")
+
+
 _BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+_BENCH_DIGESTS = json.loads(_BENCH_EXPECTED.read_text(encoding="utf-8"))["cli"]
 
 
 class TestBenchmarkDigests:
     """The stdout the benchmark checks, compared here as well."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        ["verify --n 100 --mode exact", "invert --n 100 --which a2 --oracle --format json"],
-    )
+    @pytest.mark.parametrize("argv", sorted(_BENCH_DIGESTS))
     def test_stdout_matches_the_recorded_digest(self, capsys, argv):
-        want = json.loads(_BENCH_EXPECTED.read_text(encoding="utf-8"))["cli"][argv]
+        want = _BENCH_DIGESTS[argv]
         code, out, _ = run_cli(capsys, *argv.split())
         data = out.encode("utf-8")
         assert (code, hashlib.sha256(data).hexdigest(), len(data)) == (
