@@ -43,6 +43,9 @@ from .relations import (
     relation_family,
     residue_system_representation,
 )
+# trilinalg stays an eager import: perfbench/tracer.py rebinds only the
+# modules loaded before it installs, so a lazy trilinalg would read 0 in
+# every trilinalg.* per-layer metric
 from .trilinalg import invert_cofactor, invert_forward, mat_mul
 
 __version__ = "0.1.0"

@@ -218,6 +218,8 @@ def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
     it does not go through the memo of `_expansion_ints`, which only
     the collapse needs.  The result is immutable and memoised per c.
     """
+    if c < 0:
+        raise ValueError("c must be >= 0")
     den, nums = _faulhaber_ints(c)
     q = nums if c == 0 else nums[: c + 1]
     return ZetaShiftExpansion(c=c, q=tuple(Fraction(x, den) for x in q))

@@ -12,11 +12,11 @@ the parser; a size above its ceiling exits 2 before any work starts.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
+# trilinalg stays an eager import: perfbench/tracer.py rebinds only the
+# modules loaded before it installs, so a lazy trilinalg would read 0 in
+# every trilinalg.* per-layer metric
 from . import analytic, coeffs, relations, trilinalg
 from .errors import VerificationError
 from .exactnum import rat_to_str
@@ -156,9 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # shared rendering helpers
+#
+# csv, io and json load only when a command renders them: the default
+# text output needs none of them, and every start would pay their import
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -167,6 +173,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, indent=2)
 
 

@@ -251,6 +251,11 @@ class TestResiduesFromExpansion:
         assert t.locations() == (2, 1, 0, -2)
         assert t.residue_at(-2) == gen_binomial(-2, 3) * zeta_neg(3)
 
+    @pytest.mark.parametrize("build", [zeta_shift_expansion, residues_from_expansion])
+    def test_negative_c_names_c(self, build):
+        with pytest.raises(ValueError, match=r"^c must be >= 0$"):
+            build(-1)
+
 
 class TestCollapseRelation:
     def test_valid_relation_collapses_to_nothing(self):

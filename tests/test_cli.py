@@ -224,6 +224,10 @@ class TestExpand:
             "j,coeff", "0,1/3", "1,-1/2", "2,1/6",
         ]
 
+    def test_negative_c_names_c(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--c", "-1")
+        assert (code, out, err) == (2, "", "ezbasis: c must be >= 0\n")
+
 
 class TestVerify:
     def test_exact_pass(self, capsys):
@@ -594,6 +598,15 @@ class TestPlumbing:
         proc = _python_m("ezbasis", "poles", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout == out.encode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_python_m_renders_with_deferred_imports(self, capsys, fmt):
+        # json and csv load inside the renderers, so a cold process takes
+        # a path that an in-process run, with both already loaded, does not
+        code, out, err = run_cli(capsys, "relations", "--n", "4", "--format", fmt)
+        proc = _python_m("ezbasis", "relations", "--n", "4", "--format", fmt)
+        assert proc.returncode == code == 0
+        assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
 
     @pytest.mark.parametrize(
         "args", [("poles", "--n", "2"), ("poles", "--n", "-1")], ids=["ok", "bad-n"]

@@ -80,7 +80,8 @@ _IMPORT_AUDIT = """
 import sys
 before = set(sys.modules)
 import ezbasis, ezbasis.cli
-print(sorted({"dataclasses", "inspect", "ezbasis.numeval"} & (set(sys.modules) - before)))
+deferred = {"csv", "dataclasses", "inspect", "json", "ezbasis.numeval"}
+print(sorted(deferred & (set(sys.modules) - before)))
 from ezbasis import NumericReport
 print(NumericReport.__module__, ezbasis.numeric_verify is ezbasis.numeval.numeric_verify)
 """
@@ -172,6 +173,11 @@ class TestRecords:
         with pytest.raises(TypeError):
             cls(**kwargs, frobnicate=1)
 
+    def test_repr_is_the_dataclass_text(self, record_case):
+        cls, kwargs, rec = record_case
+        fields = ", ".join(f"{name}={value!r}" for name, value in kwargs.items())
+        assert repr(rec) == f"{cls.__name__}({fields})"
+
     def test_match_reads_match_args(self, record_case):
         cls, kwargs, rec = record_case
         match rec:
@@ -179,6 +185,15 @@ class TestRecords:
                 assert first == next(iter(kwargs.values()))
             case _:
                 pytest.fail(f"{cls.__name__} did not match its own class pattern")
+
+
+def test_records_share_eq_hash_and_repr():
+    # only __init__ is generated per class
+    for method in ("__eq__", "__hash__", "__repr__"):
+        shared = {id(vars(cls)[method]) for cls, _ in _RECORDS}
+        assert len(shared) == 1, method
+    inits = {id(vars(cls)["__init__"]) for cls, _ in _RECORDS}
+    assert len(inits) == len(_RECORDS)
 
 
 def test_record_defaults():
