@@ -33,6 +33,7 @@ from functools import cache
 from math import comb, gcd, lcm
 
 from ._record import record
+from .coeffs import ZERO
 from .errors import VerificationError
 from .exactnum import _faulhaber_ints, bernoulli, rat_to_str
 from .relations import RelationVector, _solved_rows, function_label
@@ -59,7 +60,7 @@ class PoleRecord:
     def __post_init__(self) -> None:
         if type(self.residue) is not Fraction:
             object.__setattr__(self, "residue", Fraction(self.residue))
-        if self.residue == 0:
+        if not self.residue:
             raise ValueError("a pole record must carry a nonzero residue")
         if self.source_label not in (S_EQ_2, S_EQ_1, S_EQ_MINUS_2K):
             raise ValueError(f"unknown source label {self.source_label!r}")
@@ -96,7 +97,7 @@ class PoleTable:
         for r in self.records:
             if r.location == location:
                 return r.residue
-        return Fraction(0)
+        return ZERO
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,15 +215,17 @@ def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
     form has zero constant term and j stops at c; for c = 0 the
     constant -1 of S_0(n) = n - 1 contributes the j = 1 entry.  q is
     built from the integer numerators of `_faulhaber_ints(c)`, which
-    has already checked the Faulhaber anchors, one Fraction per entry;
-    it does not go through the memo of `_expansion_ints`, which only
-    the collapse needs.  The result is immutable and memoised per c.
+    has already checked the Faulhaber anchors, one Fraction per nonzero
+    entry; the zeros (about half, from the odd Bernoulli numbers) are
+    the shared `coeffs.ZERO`.  It does not go through the memo of
+    `_expansion_ints`, which only the collapse needs.  The result is
+    immutable and memoised per c.
     """
     if c < 0:
         raise ValueError("c must be >= 0")
     den, nums = _faulhaber_ints(c)
     q = nums if c == 0 else nums[: c + 1]
-    return ZetaShiftExpansion(c=c, q=tuple(Fraction(x, den) for x in q))
+    return ZetaShiftExpansion(c=c, q=tuple(Fraction(x, den) if x else ZERO for x in q))
 
 
 def residues_from_expansion(c: int) -> PoleTable:
@@ -238,7 +241,7 @@ def residues_from_expansion(c: int) -> PoleTable:
     exp = zeta_shift_expansion(c)
     records = []
     for j, qj in enumerate(exp.q):
-        if qj == 0:
+        if not qj:
             continue
         if j == 0:
             label = S_EQ_2
@@ -386,7 +389,7 @@ def independence_witness(m: int) -> PoleRecord:
             f"zeta(-{2 * m},s+{2 * m}) lacks the expected pole at s = {location}"
         )
     for c in range(2 * m):
-        if pole_table(c).residue_at(location) != 0:
+        if pole_table(c).residue_at(location):
             raise VerificationError(
                 f"witness at s = {location} is not exclusive: "
                 f"{function_label(c)} shares it"

@@ -63,16 +63,6 @@ def _ensure_rows(c: int) -> None:
         _coeff_rows.append(row)
 
 
-def _coeff_int(c: int, d: int) -> int:
-    if c < 1 or d < 1:
-        raise ValueError("indices must satisfy c >= 1 and d >= 1")
-    if d > (c + 1) // 2:
-        # induction on the recurrence: rows vanish past column ceil(c/2)
-        return 0
-    _ensure_rows(c)
-    return _coeff_rows[c - 1][d - 1]
-
-
 def coeff_row(c: int) -> tuple[int, ...]:
     """Row c of the integer family: a_{c,d} for d = 1..ceil(c/2)."""
     if c < 1:
@@ -153,9 +143,11 @@ def build_matrix_A(N: int) -> CoeffMatrix:
     if N < 2:
         raise ValueError("N must be >= 2")
     n_prime = N // 2
+    _ensure_rows(2 * n_prime)
+    # row c is its band a_{c,1..ceil(c/2)}, zero beyond by the recurrence
     rows = [
-        [Fraction(_coeff_int(c, d)) for d in range(1, n_prime + 1)]
-        for c in range(1, 2 * n_prime + 1)
+        [*map(Fraction, band), *[ZERO] * (n_prime - len(band))]
+        for band in _coeff_rows[: 2 * n_prime]
     ]
     return CoeffMatrix.from_rows(rows)
 

@@ -22,7 +22,8 @@ from ._record import record
 
 def rat_to_str(x: Fraction) -> str:
     """Canonical string form: "p/q" in lowest terms, or "p" when q == 1."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -17,17 +17,21 @@ All three kernels (both inversions and `mat_mul`) run on integers: each
 row (for `mat_mul` also each column of the right factor) is scaled by
 the lcm of its denominators, the arithmetic stays in integers over
 that row and column denominator, and every output entry becomes one
-reduced Fraction.  The dot products of `mat_mul` and `invert_forward`
-run at C level, as sum(map(mul, ...)) over the integer vectors.  The
-entries above the diagonal of an inverse and every zero entry of a
-product are the shared `coeffs.ZERO`, so comparing two results mostly
-compares entries by identity.  The two inversions share only the row
-scaling, never their substitution or recurrence.
+reduced Fraction.  Every dot product runs at C level, as
+sum(map(mul, ...)) over the integer vectors: the cofactor recurrence
+carries its partial minors with their signs folded in, and `mat_mul`
+takes each dot product only over the overlap of the nonzero spans of
+its row and column.  The entries above the diagonal of an inverse and
+every zero entry of a product are the shared `coeffs.ZERO`, so
+comparing two results mostly compares entries by identity.  The two
+inversions share only the row scaling, never their substitution or
+recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -78,13 +82,16 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
         d_k = sum_{c=1}^{k} (-1)^(k+c) a_{j+k,j+c-1} * d_{c-1}
               * a_{j+c,j+c} a_{j+c+1,j+c+1} ... a_{j+k-1,j+k-1}
 
-    with d_0 = 1.  The trailing diagonal products are maintained
-    incrementally (each step multiplies all previous ones by a single
-    new diagonal entry), so a full inverse costs O(n^3) like forward
-    substitution.  The recurrence runs on the rows scaled to integers,
+    with d_0 = 1.  The recurrence runs on the rows scaled to integers,
     B_i = d_i * M_i: scaling row i scales every minor through it, so
     inv[j+k][j] = (-1)^k d_k(B) * d_j / (b_{j,j} ... b_{j+k,j+k}), one
-    Fraction per entry.  The tests re-evaluate the same minors by
+    Fraction per entry.  The signs are folded into the carried vector
+    w[c-1] = (-1)^c d_{c-1} b_{j+c,j+c} ... b_{j+k-1,j+k-1}, so each
+    minor is d_k = (-1)^k s_k with s_k = sum(row[j:j+k] * w), one
+    C-level dot product, and s_k itself is the signed cofactor the
+    entry needs.  Each step grows w by the one new diagonal entry and
+    appends -s_k = (-1)^(k+1) d_k, so a full inverse costs O(n^3) like
+    forward substitution.  The tests re-evaluate the same minors by
     fraction-free elimination, so the recurrence itself is cross-checked.
     """
     require_lower_triangular(M)
@@ -92,25 +99,17 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
     b, scale = zip(*(_scaled_to_int(row) for row in M.entries))
     inv = [[ZERO] * n for _ in range(n)]
     for j in range(n):
-        inv[j][j] = Fraction(scale[j], b[j][j])
-        # d[k] = D_{j+k,j}; u[c-1] = d_{c-1} * prod of diag entries j+c..j+k-1
-        d = [1]
-        u: list[int] = []
         denom = b[j][j]
+        inv[j][j] = Fraction(scale[j], denom)
+        # s = (-1)^k D_{j+k,j}, starting from D_{j,j} = 1 at k = 0
+        s, w = 1, []
         for k in range(1, n - j):
-            if u:
-                grown = b[j + k - 1][j + k - 1]
-                u = [x * grown for x in u]
-            u.append(d[k - 1])
-            acc = 0
+            w = list(map(mul, w, repeat(b[j + k - 1][j + k - 1])))
+            w.append(-s)
             row = b[j + k]
-            for c in range(1, k + 1):
-                e = row[j + c - 1]
-                if e:
-                    acc += e * u[c - 1] if (k + c) % 2 == 0 else -e * u[c - 1]
-            d.append(acc)
+            s = sum(map(mul, row[j:j + k], w))
             denom *= row[j + k]
-            inv[j + k][j] = Fraction((d[k] if k % 2 == 0 else -d[k]) * scale[j], denom)
+            inv[j + k][j] = Fraction(s * scale[j], denom)
     return CoeffMatrix.from_rows(inv)
 
 
@@ -118,23 +117,29 @@ def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
     """Exact matrix product.
 
     Each row of P and each column of Q is scaled to integers by the lcm
-    of its denominators, so every dot product is one C-level
-    sum(map(mul, ...)) over integers, and each nonzero output entry is
-    normalised once, as Fraction(dot, dP * dQ).  The product is
-    generic: no entry of either factor is assumed zero.
+    of its denominators and carries the span [lo, hi) of its nonzero
+    numerators.  Each dot product is one C-level sum(map(mul, ...)) over
+    the overlap of the two spans, and each nonzero output entry is
+    normalised once, as Fraction(dot, dP * dQ); an empty overlap gives
+    `ZERO` without a dot product.  The spans are read from the data, so
+    the product stays generic: no entry of either factor is assumed zero.
     """
     if P.cols != Q.rows:
         raise ValueError(
             f"dimension mismatch: {P.rows}x{P.cols} times {Q.rows}x{Q.cols}"
         )
-    prows = [_scaled_to_int(row) for row in P.entries]
-    qcols = [_scaled_to_int(col) for col in zip(*Q.entries)]
+    prows = [_spanned(row) for row in P.entries]
+    qcols = [_spanned(col) for col in zip(*Q.entries)]
+    # the overlap [lo, hi) of the two spans, by comparisons rather than max/min calls
     rows = [
         [
-            Fraction(dot, pden * qden) if (dot := sum(map(mul, pnum, qnum))) else ZERO
-            for qnum, qden in qcols
+            Fraction(dot, pden * qden)
+            if (lo := plo if plo > qlo else qlo) < (hi := phi if phi < qhi else qhi)
+            and (dot := sum(map(mul, pnum[lo:hi], qnum[lo:hi])))
+            else ZERO
+            for qnum, qden, qlo, qhi in qcols
         ]
-        for pnum, pden in prows
+        for pnum, pden, plo, phi in prows
     ]
     return CoeffMatrix.from_rows(rows)
 
@@ -146,3 +151,10 @@ def _scaled_to_int(vec: tuple[Fraction, ...]) -> tuple[list[int], int]:
     den = lcm(*dens)
     return [x.numerator * (den // d) for x, d in zip(vec, dens)], den
 
+
+def _spanned(vec: tuple[Fraction, ...]) -> tuple[list[int], int, int, int]:
+    """`_scaled_to_int(vec)` and the span [lo, hi) of its nonzero numerators."""
+    nums, den = _scaled_to_int(vec)
+    nonzero = bytes(map(bool, nums))
+    hi = nonzero.rfind(1) + 1
+    return nums, den, nonzero.find(1) if hi else 0, hi

@@ -27,6 +27,7 @@ from ezbasis.analytic import (
     verify_relations_exact,
     zeta_shift_expansion,
 )
+from ezbasis.coeffs import ZERO
 from ezbasis.errors import VerificationError
 from ezbasis.exactnum import faulhaber
 from ezbasis.relations import (
@@ -82,7 +83,7 @@ class TestPoleTable:
         assert all(r.source_label == S_EQ_MINUS_2K for r in t.records[2:])
 
     def test_residue_at_missing_location(self):
-        assert pole_table(4).residue_at(-17) == 0
+        assert pole_table(4).residue_at(-17) is ZERO
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -116,8 +117,10 @@ class TestPoleTable:
         assert type(r.residue) is F and r.residue == 1
 
     def test_record_rejects_zero_residue(self):
-        with pytest.raises(ValueError):
-            PoleRecord(location=2, residue=F(0), source_label=S_EQ_2)
+        # the int, a fresh Fraction and the shared zero
+        for zero in (0, F(0), ZERO):
+            with pytest.raises(ValueError):
+                PoleRecord(location=2, residue=zero, source_label=S_EQ_2)
 
     def test_record_rejects_bad_label(self):
         with pytest.raises(ValueError):
@@ -187,6 +190,16 @@ class TestZetaShiftExpansion:
     def test_matches_faulhaber(self):
         for c in range(1, 30):
             assert zeta_shift_expansion(c).q == faulhaber(c).coeffs[: c + 1]
+
+    def test_equals_the_fraction_per_entry_construction(self):
+        # the construction it replaced: one Fraction per Faulhaber numerator
+        for c in range(121):
+            den, nums = exactnum._faulhaber_ints(c)
+            old = tuple(F(x, den) for x in (nums if c == 0 else nums[: c + 1]))
+            q = zeta_shift_expansion(c).q
+            assert q == old
+            assert all(x is ZERO for x in q if not x)
+            assert all(type(x) is F for x in q)
 
     def test_term_labels(self):
         e = zeta_shift_expansion(3)

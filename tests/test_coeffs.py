@@ -11,6 +11,7 @@ import pytest
 
 from ezbasis import coeffs
 from ezbasis.coeffs import (
+    ZERO,
     CoeffMatrix,
     build_matrix_A,
     coeff_row,
@@ -104,6 +105,24 @@ class TestBuildMatrix:
     def test_too_small(self):
         with pytest.raises(ValueError):
             build_matrix_A(1)
+
+    @pytest.mark.parametrize("N", [2, 3, 12, 100, 101])
+    def test_equals_the_entrywise_construction(self, N):
+        # the construction it replaced: one Fraction per (c, d), zero past
+        # the band d <= ceil(c/2)
+        n_prime = N // 2
+        old = tuple(
+            tuple(
+                F(coeff_row(c)[d - 1]) if d <= (c + 1) // 2 else F(0)
+                for d in range(1, n_prime + 1)
+            )
+            for c in range(1, 2 * n_prime + 1)
+        )
+        m = build_matrix_A(N)
+        assert m.entries == old
+        for c, row in enumerate(m.entries, start=1):
+            assert all(x is ZERO for x in row[(c + 1) // 2:])
+            assert all(type(x) is F for x in row)
 
     def test_extension_is_consistent(self):
         small = build_matrix_A(8)

@@ -13,7 +13,7 @@ from ezbasis.coeffs import ONE, ZERO, CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.errors import SingularMatrixError
 from ezbasis.trilinalg import invert_cofactor, invert_forward, mat_mul
 from golden_values import A1_INV_12, A2_INV_12
-from reference import det_Dij, row_sums
+from reference import _bareiss_det, det_Dij, row_sums
 
 
 def _random_lower_triangular(rng: random.Random, n: int) -> CoeffMatrix:
@@ -163,6 +163,51 @@ def test_cofactor_does_not_use_forward(monkeypatch):
     assert invert_cofactor(a2).entries == tuple(tuple(row) for row in A2_INV_12)
 
 
+class TestCofactorSigns:
+    """The cofactor recurrence carries (-1)^c into its partial minors;
+    negative diagonals and zero subdiagonal entries pin every sign."""
+
+    @staticmethod
+    def _signed_integer_matrix(rng: random.Random, n: int) -> CoeffMatrix:
+        rows = []
+        for i in range(n):
+            row = [rng.randint(-9, 9) if rng.random() > 0.3 else 0 for _ in range(i)]
+            if i and rng.random() < 0.5:
+                row[i - 1] = 0
+            diag = -rng.randint(1, 9) if rng.random() < 0.8 else rng.randint(2, 9)
+            rows.append(row + [diag] + [0] * (n - i - 1))
+        return CoeffMatrix.from_rows(rows)
+
+    def test_minors_against_bareiss(self):
+        rng = random.Random(20251019)
+        for n in [1, 2, 3, 5, 8, 50] + [rng.randint(9, 50) for _ in range(6)]:
+            m = self._signed_integer_matrix(rng, n)
+            a = [[int(x) for x in row] for row in m.entries]
+            inv = invert_cofactor(m)
+            if n <= 8:
+                pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
+            else:
+                pairs = [(n, 1), (n, n - 1), (2, 1), (n, n // 2)]
+                pairs += [(i, rng.randint(1, i - 1)) for i in rng.sample(range(2, n + 1), 6)]
+            for i, j in pairs:
+                # D_{i,j}: rows j+1..i and columns j..i-1, 1-indexed
+                minor = _bareiss_det([row[j - 1:i - 1] for row in a[j:i]], i - j)
+                denom = 1
+                for t in range(j - 1, i):
+                    denom *= a[t][t]
+                assert inv.entries[i - 1][j - 1] == F((-1) ** (i - j) * minor, denom)
+
+    def test_zero_subdiagonal_and_negative_diagonal(self):
+        # a_{2,1} = a_{3,2} = 0: only the a_{3,1} term reaches D_{3,1}
+        m = CoeffMatrix.from_rows([[-2, 0, 0], [0, -3, 0], [5, 0, -7]])
+        inv = invert_cofactor(m)
+        assert inv.entries == (
+            (F(-1, 2), ZERO, ZERO),
+            (ZERO, F(-1, 3), ZERO),
+            (F(-5, 14), ZERO, F(-1, 7)),
+        )
+
+
 class TestDetDij:
     def test_adjacent_minor_is_entry(self):
         a1, a2 = split_A1_A2(build_matrix_A(12))
@@ -267,6 +312,49 @@ class TestMatMul:
         assert prod.entries == _mat_mul_reference(p, q)
         assert all(type(x) is F for row in prod.entries for x in row)
 
+    def test_span_edge_cases_against_triple_loop(self):
+        rng = random.Random(29)
+        dense = _random_dense(rng, 6, 6)
+        upper = _masked(dense, lambda i, j: j >= i)
+        lower = _masked(dense, lambda i, j: j <= i)
+        strict = _masked(_random_dense(rng, 6, 6), lambda i, j: j < i)
+        zero_row = _masked(dense, lambda i, j: i != 2)
+        zero_col = _masked(dense, lambda i, j: j != 4)
+        # zeros inside every span: a nonzero border around a zero interior
+        holes = _masked(_full(rng, 6, 6), lambda i, j: i in (0, 5) or j in (0, 5))
+        cases = [
+            (lower, lower), (upper, upper),  # spans disjoint above/below the diagonal
+            (upper, lower), (lower, upper),  # spans overlap in part
+            (strict, strict), (strict, upper),
+            (zero_row, dense), (dense, zero_col), (zero_row, zero_col),
+            (holes, holes), (holes, dense),
+            (CoeffMatrix.from_rows([[0]]), CoeffMatrix.from_rows([[0]])),
+            (CoeffMatrix.from_rows([[0]]), CoeffMatrix.from_rows([[F(3, 4)]])),
+            (_random_dense(rng, 2, 7), _masked(_random_dense(rng, 7, 3), lambda i, j: i > 3)),
+            (_masked(_random_dense(rng, 4, 3), lambda i, j: j < 1), _random_dense(rng, 3, 5)),
+        ]
+        for p, q in cases:
+            prod = mat_mul(p, q)
+            assert prod.entries == _mat_mul_reference(p, q)
+            assert all(x is ZERO for row in prod.entries for x in row if not x)
+            assert all(type(x) is F for row in prod.entries for x in row)
+
+    def test_disjoint_spans_give_the_shared_zero(self):
+        # row i of a strictly upper factor starts at column i+1 and its
+        # column j ends at row j-1, so the spans of (i, j) miss for j <= i+1
+        u = CoeffMatrix.from_rows(
+            [[F(i + j + 1, j + 1) if j > i else 0 for j in range(7)] for i in range(7)]
+        )
+        prod = mat_mul(u, u)
+        assert prod.entries == _mat_mul_reference(u, u)
+        assert all(prod.entries[i][j] is ZERO for i in range(7) for j in range(min(i + 2, 7)))
+        assert all(prod.entries[i][j] > 0 for i in range(7) for j in range(i + 2, 7))
+
+    def test_spans(self):
+        assert trilinalg._spanned((F(0), F(1, 2), F(0), F(3), F(0))) == ([0, 1, 0, 6, 0], 2, 1, 4)
+        assert trilinalg._spanned((F(5, 3),)) == ([5], 3, 0, 1)
+        assert trilinalg._spanned((ZERO, ZERO)) == ([0, 0], 1, 0, 0)
+
     def test_products_that_cancel_to_zero(self):
         # nonzero factors whose dot products vanish
         p = CoeffMatrix.from_rows([[F(1, 2), F(1, 3)], [F(2, 3), F(-1, 2)]])
@@ -284,6 +372,21 @@ def _random_dense(rng: random.Random, rows: int, cols: int) -> CoeffMatrix:
              for _ in range(cols)]
             for _ in range(rows)
         ]
+    )
+
+
+def _full(rng: random.Random, rows: int, cols: int) -> CoeffMatrix:
+    """Random rationals, none of them zero."""
+    return CoeffMatrix.from_rows(
+        [[F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12)) for _ in range(cols)]
+         for _ in range(rows)]
+    )
+
+
+def _masked(m: CoeffMatrix, keep) -> CoeffMatrix:
+    """m with entry (i, j) replaced by a fresh zero wherever keep(i, j) is false."""
+    return CoeffMatrix.from_rows(
+        [[x if keep(i, j) else F(0) for j, x in enumerate(row)] for i, row in enumerate(m.entries)]
     )
 
 
