@@ -14,9 +14,17 @@ accumulate(m^c for m = 1, 2, ...); the Tornheim inner values come from
 the forward differences of the integer polynomial P = den * C_a at
 N = 2, one nested accumulate per order.  Each term is then
 float(v) * n^(-e), divided by den for Tornheim, and real s feeds the
-terms straight into fsum.  Complex s stores the magnitudes once and
-sums them against the phase table exp(-i Im(s) log n), which is built
-once per (Im s, cutoff) and shared by every series at that point.
+terms straight into fsum.  Complex s reads the magnitudes once, in
+blocks, and multiplies them into the phase table exp(-i Im(s) log n),
+computed as cos and sin of -Im(s) log n; the real products stream into
+one fsum and the imaginary ones are kept for the other.
+
+`numeric_verify` walks the shifts e = 0, 1, ... once per point: the
+powers n^(-Re(s)-e) come from one float copy of the bases, and
+zeta(-2a, s+2a) and T(-a, -a; s+2a) share one table.  The phase table
+is kept for the last (Im s, cutoff).  `eval_ez_double` and
+`eval_tornheim` sum through the same `_sum_series`, so every value is
+the same bit for bit either way.
 
 The overflow guard is checked once per series.  A term takes the
 plain formula when its inner integer has under 900 bits and
@@ -52,18 +60,19 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
-from math import comb, lcm
-from operator import attrgetter, mul, truediv
+from math import comb, gcd, lcm
+from operator import add, mul, truediv
 
 from ._record import record
 from .coeffs import tornheim_decomposition
-from .exactnum import bernoulli, faulhaber
+from .exactnum import _faulhaber_ints, bernoulli
 from .relations import basis_representation, relation_family
 
 _SLACK = 17.0 / 16.0
+# terms per block of the one pass over a complex series' magnitudes
+_CHUNK = 4096
 _MIN_SIGMA = 2.1
 
 
@@ -135,34 +144,56 @@ def _term_float(big: int, n: int, expo: float) -> float:
 
 @lru_cache(maxsize=1)
 def _phase_table(tau: float, cutoff: int) -> tuple[array, array]:
-    """Real and imaginary parts of exp(-i tau log n) for n = 2..cutoff."""
-    phases = map(cmath.exp, map(mul, repeat(-1j * tau), map(math.log, range(2, cutoff + 1))))
-    flat = array("d", chain.from_iterable(map(attrgetter("real", "imag"), phases)))
-    return flat[0::2], flat[1::2]
+    """Real and imaginary parts of exp(-i tau log n) for n = 2..cutoff.
+
+    They are cos and sin of -tau log n, bit for bit as cmath.exp gives
+    them for the zero-real argument -i tau log n.
+    """
+    angles = array("d", map(mul, repeat(-tau), map(math.log, range(2, cutoff + 1))))
+    return array("d", map(math.cos, angles)), array("d", map(math.sin, angles))
 
 
-def _sum_series(inner, top: int, s: complex, cutoff: int, shift: int, den: int = 1) -> complex:
+def _sum_series(s: complex, cutoff: int, shift: int, inner, top: int, den: int = 1,
+                powers=None) -> complex:
     """fsum of v_n/den * n^(-s-shift) for n = 2..cutoff.
 
     `inner` yields the exact positive integers v_2, ..., v_cutoff,
-    which increase with n, and `top` is at least v_cutoff.  Real s
-    sums the magnitudes directly; complex s multiplies them into the
-    phase table of the point.
+    which increase with n, and `top` is at least v_cutoff.  `powers`,
+    when given, yields n^(-Re(s)-shift) for the same n.  Real s sums
+    the magnitudes directly; complex s reads them once, in blocks of
+    _CHUNK, multiplies each block into the phase table of the point,
+    streams the real products into fsum and keeps the imaginary ones
+    for a second fsum.
     """
     expo = s.real + shift
     ns = range(2, cutoff + 1)
     if _plain_float_ok(top, cutoff, expo):
         # the guard holds at every n <= cutoff, see module docstring
-        mags = map(mul, map(float, inner), map(pow, ns, repeat(-expo)))
+        if powers is None:
+            powers = map(pow, ns, repeat(-expo))
+        mags = map(mul, map(float, inner), powers)
     else:
         mags = map(_term_float, inner, ns, repeat(expo))
     if den != 1:
         mags = map(truediv, mags, repeat(den))
     if s.imag == 0.0:
         return complex(math.fsum(mags), 0.0)
-    mags = array("d", mags)
     re, im = _phase_table(s.imag, cutoff)
-    return complex(math.fsum(map(mul, mags, re)), math.fsum(map(mul, mags, im)))
+    im_parts = array("d")
+
+    def block_products(start: int):
+        block = list(islice(mags, _CHUNK))
+        im_parts.extend(map(mul, block, im[start:start + _CHUNK]))
+        return map(mul, block, re[start:start + _CHUNK])
+
+    real = math.fsum(chain.from_iterable(map(block_products, range(0, cutoff - 1, _CHUNK))))
+    return complex(real, math.fsum(im_parts))
+
+
+def _ez_inner(c: int, cutoff: int):
+    """The power sums S_c(2..cutoff) as running totals, and S_c(cutoff)'s upper bound."""
+    # S_c(cutoff) has cutoff - 1 terms, each at most (cutoff - 1)^c
+    return accumulate(map(pow, range(1, cutoff), repeat(c))), (cutoff - 1) ** (c + 1)
 
 
 def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
@@ -175,12 +206,8 @@ def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
     if c < 0:
         raise ValueError("c must be >= 0")
     s = _check_domain(s, cutoff, shift=c)
-    inner = accumulate(map(pow, range(1, cutoff), repeat(c)))
-    # S_c(cutoff) has cutoff - 1 terms, each at most (cutoff - 1)^c
-    top = (cutoff - 1) ** (c + 1)
-    value = _sum_series(inner, top, s, cutoff, shift=c)
     return NumericResult(
-        value=value,
+        value=_sum_series(s, cutoff, c, *_ez_inner(c, cutoff)),
         tail_bound=_tail_bound(s.real, cutoff, c + 1),
         terms_used=cutoff - 1,
     )
@@ -189,20 +216,20 @@ def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
 def _tornheim_poly(a: int) -> tuple[list[int], int]:
     """Integer closed form of the convolution: C_a(N) = P(N)/den.
 
-    Expanding (N-m)^a binomially turns C_a(N) into a combination of
-    power sums, each with a Faulhaber closed form; collecting powers of
-    N and clearing denominators leaves one integer polynomial (listed
-    highest power first) over a single denominator.
+    Expanding (N-m)^a binomially turns C_a(N) into the combination
+    sum_i (-1)^i C(a, i) N^(a-i) S_{a+i}(N) of power sums.  Their
+    Faulhaber coefficients are integers over one denominator L, so P
+    collects integer numerators over L (listed highest power first),
+    and dividing out their gcd with L leaves the reduced denominator.
     """
-    coeffs = [Fraction(0)] * (2 * a + 2)
-    for i in range(a + 1):
-        fc = faulhaber(a + i).coeffs
-        mult = (-1) ** i * comb(a, i)
-        for k, ck in enumerate(fc):
-            if ck:
-                coeffs[k] += mult * ck
-    den = lcm(*(x.denominator for x in coeffs)) if coeffs else 1
-    return [int(x * den) for x in coeffs], den
+    forms = [_faulhaber_ints(a + i) for i in range(a + 1)]
+    big = lcm(*(d for d, _ in forms))
+    poly = [0] * (2 * a + 2)
+    for i, (d, nums) in enumerate(forms):
+        scale = (-1) ** i * comb(a, i) * (big // d)
+        poly[:len(nums)] = map(add, poly, map(mul, nums, repeat(scale)))
+    g = gcd(big, *poly)
+    return [x // g for x in poly], big // g
 
 
 def _horner(poly: list[int], n: int) -> int:
@@ -210,6 +237,22 @@ def _horner(poly: list[int], n: int) -> int:
     for coef in poly:
         acc = acc * n + coef
     return acc
+
+
+def _tornheim_inner(a: int, cutoff: int):
+    """P(N) = den * C_a(N) for N = 2..cutoff, P(cutoff) as their top, and den."""
+    poly, den = _tornheim_poly(a)
+    # forward differences of P at N = 2: the last one is constant, and
+    # each lower order is the running total of the one above it
+    diffs = []
+    row = [_horner(poly, n) for n in range(2, len(poly) + 2)]
+    while row:
+        diffs.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    inner = repeat(diffs.pop())
+    for start in reversed(diffs):
+        inner = accumulate(inner, initial=start)
+    return islice(inner, cutoff - 1), _horner(poly, cutoff), den
 
 
 def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
@@ -222,24 +265,31 @@ def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
     if a < 0:
         raise ValueError("a must be >= 0")
     s = _check_domain(s, cutoff, shift=2 * a)
-    poly, den = _tornheim_poly(a)
-    # forward differences of P at N = 2: the last one is constant, and
-    # each lower order is the running total of the one above it
-    diffs = []
-    row = [_horner(poly, n) for n in range(2, len(poly) + 2)]
-    while row:
-        diffs.append(row[0])
-        row = [y - x for x, y in zip(row, row[1:])]
-    inner = repeat(diffs.pop())
-    for start in reversed(diffs):
-        inner = accumulate(inner, initial=start)
-    inner = islice(inner, cutoff - 1)
-    value = _sum_series(inner, _horner(poly, cutoff), s, cutoff, shift=2 * a, den=den)
     return NumericResult(
-        value=value,
+        value=_sum_series(s, cutoff, 2 * a, *_tornheim_inner(a, cutoff)),
         tail_bound=_tail_bound(s.real, cutoff, a + 1),
         terms_used=cutoff - 1,
     )
+
+
+def _series_values(s: complex, cutoff: int, top_index: int, n_prime: int) -> list[complex]:
+    """zeta(-c, s+c) for c <= top_index, then T(-a, -a; s+2a) for a < n_prime.
+
+    The same values as `eval_ez_double` and `eval_tornheim`, bit for
+    bit.  The powers of each shift come from one float copy of the
+    bases, and the shift 2a computes its table once for zeta(-2a, s+2a)
+    and T(-a, -a; s+2a); that needs top_index >= 2 * n_prime - 2.
+    """
+    bases = array("d", range(2, cutoff + 1))
+    ez, torn = [], []
+    for e in range(top_index + 1):
+        # rebinding first frees the last table before the next is built
+        powers = map(pow, bases, repeat(-(s.real + e)))
+        if e % 2 == 0 and e // 2 < n_prime:
+            powers = array("d", powers)
+            torn.append(_sum_series(s, cutoff, e, *_tornheim_inner(e // 2, cutoff), powers=powers))
+        ez.append(_sum_series(s, cutoff, e, *_ez_inner(e, cutoff), powers=powers))
+    return ez + torn
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +486,7 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
             f"tol {tol} is not above the achievable bound {worst:.3e}; "
             "raise tol or the cutoff"
         )
-    values = [eval_ez_double(c, s, cutoff).value for c in range(top_index + 1)]
-    values += [eval_tornheim(a, s, cutoff).value for a in range(n_prime)]
+    values = _series_values(s, cutoff, top_index, n_prime)
     checks = tuple(
         NumericCheck(name=name, residual=abs(combine(terms, values, 0j)), bound=bound)
         for (name, terms), bound in zip(plans, bounds)

@@ -21,11 +21,10 @@ reduced Fraction.  Every dot product runs at C level, as
 sum(map(mul, ...)) over the integer vectors: the cofactor recurrence
 carries its partial minors with their signs folded in, and `mat_mul`
 takes each dot product only over the overlap of the nonzero spans of
-its row and column.  The entries above the diagonal of an inverse and
-every zero entry of a product are the shared `coeffs.ZERO`, so
-comparing two results mostly compares entries by identity.  The two
-inversions share only the row scaling, never their substitution or
-recurrence.
+its row and column.  Every zero entry of an inverse or a product is
+the shared `coeffs.ZERO`, so comparing two results mostly compares
+entries by identity.  The two inversions share only the row scaling,
+never their substitution or recurrence.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
                 num.append(-s)
                 den *= piv
         for k, y in enumerate(num):
-            inv[j + k][j] = Fraction(y * d[j], den)
+            inv[j + k][j] = Fraction(y * d[j], den) if y else ZERO
     return CoeffMatrix.from_rows(inv)
 
 
@@ -109,7 +108,7 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
             row = b[j + k]
             s = sum(map(mul, row[j:j + k], w))
             denom *= row[j + k]
-            inv[j + k][j] = Fraction(s * scale[j], denom)
+            inv[j + k][j] = Fraction(s * scale[j], denom) if s else ZERO
     return CoeffMatrix.from_rows(inv)
 
 

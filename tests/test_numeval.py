@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
 import ezbasis.numeval as numeval
 from ezbasis.coeffs import tornheim_decomposition
-from ezbasis.exactnum import bernoulli
+from ezbasis.exactnum import bernoulli, faulhaber
 from ezbasis.numeval import (
     NumericResult,
     _tornheim_poly,
@@ -100,6 +102,60 @@ class TestAgainstReferenceLoop:
         # fewer terms than the Tornheim polynomial has differences
         assert eval_tornheim(9, 5.0, 10).value == _reference_tornheim(9, 5.0, 10)
         assert eval_ez_double(0, 5.0, 10).value == _reference_ez_double(0, 5.0, 10)
+
+
+def _separate_values(s: complex, cutoff: int, top_index: int, n_prime: int) -> list[complex]:
+    ez = [eval_ez_double(c, s, cutoff).value for c in range(top_index + 1)]
+    return ez + [eval_tornheim(a, s, cutoff).value for a in range(n_prime)]
+
+
+class TestSeriesPlan:
+    """One pass per point gives every value of the per-series evaluators."""
+
+    _CHUNK = numeval._CHUNK
+
+    @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0, complex(3, 2)])
+    @pytest.mark.parametrize("cutoff", [10, _CHUNK - 1, _CHUNK, _CHUNK + 1, 20_001])
+    def test_values_bitwise(self, s, cutoff):
+        s = complex(s)
+        assert numeval._series_values(s, cutoff, 11, 6) == _separate_values(s, cutoff, 11, 6)
+
+    @pytest.mark.parametrize("cutoff", [_CHUNK - 1, _CHUNK + 1])
+    def test_block_edges_against_reference_loop(self, cutoff):
+        s = complex(4, 3)
+        for c in (0, 3):
+            assert eval_ez_double(c, s, cutoff).value == _reference_ez_double(c, s, cutoff)
+        assert eval_tornheim(1, s, cutoff).value == _reference_tornheim(1, s, cutoff)
+
+    @pytest.mark.parametrize("s", [3.0, complex(3, 2)])
+    @pytest.mark.parametrize("cutoff, top_index, split", [(2_000, 90, []), (50, 157, [78])])
+    def test_guard_paths_under_one_table(self, s, cutoff, top_index, split):
+        # at sigma = 3 the overflow guard fails for the larger shifts: at
+        # cutoff 2000 for both series of a shift at once, at cutoff 50
+        # for T(-78, -78; s+156) alone, while zeta(-156, s+156) keeps the
+        # plain formula and the table of shift 156
+        s = complex(s)
+        n_prime = top_index // 2 + 1
+
+        def plain(shift, inner_and_top):
+            return numeval._plain_float_ok(inner_and_top[1], cutoff, s.real + shift)
+
+        assert split == [
+            a for a in range(n_prime)
+            if plain(2 * a, numeval._ez_inner(2 * a, cutoff))
+            != plain(2 * a, numeval._tornheim_inner(a, cutoff))
+        ]
+        assert numeval._series_values(s, cutoff, top_index, n_prime) == (
+            _separate_values(s, cutoff, top_index, n_prime)
+        )
+
+    @pytest.mark.parametrize("tau", [3.0, -2.5, 1e-3, 76.0, 1234.5])
+    def test_phase_table_equals_cmath_exp(self, tau):
+        cutoff = 5_000
+        phases = [cmath.exp(-1j * tau * math.log(n)) for n in range(2, cutoff + 1)]
+        re, im = numeval._phase_table(tau, cutoff)
+        assert list(re) == [p.real for p in phases]
+        assert list(im) == [p.imag for p in phases]
 
 
 class TestEvalEzDouble:
@@ -198,6 +254,23 @@ class TestTornheim:
                     horner = horner * N + coef
                 assert horner % den == 0
                 assert horner // den == tornheim_inner_sum(a, N)
+
+    def test_closed_form_equals_fraction_construction(self):
+        # the integer build gives the (poly, den) of the Fraction loop,
+        # the reduced denominator included
+        powersums = [faulhaber(c).coeffs for c in range(301)]
+
+        def fraction_poly(a):
+            coeffs = [Fraction(0)] * (2 * a + 2)
+            for i in range(a + 1):
+                mult = (-1) ** i * comb(a, i)
+                for k, ck in enumerate(powersums[a + i]):
+                    coeffs[k] += mult * ck
+            den = lcm(*(x.denominator for x in coeffs))
+            return [int(x * den) for x in coeffs], den
+
+        for a in range(151):
+            assert _tornheim_poly(a) == fraction_poly(a), a
 
     def test_a0_equals_c0_double_zeta(self):
         # T(0,0;s) has inner sum N-1, same as the c = 0 double zeta
@@ -388,7 +461,7 @@ class TestNumericVerify:
         numeric_verify(6, 1069.0, 100, 1e-6)
         with monkeypatch.context() as mp:
             # rejected up front, before any series is summed
-            mp.setattr(numeval, "eval_ez_double", None)
+            mp.setattr(numeval, "_sum_series", None)
             with pytest.raises(ValueError, match="underflows to 0.0"):
                 numeric_verify(8, 1069.0, 100, 1e-6)
         with pytest.raises(ValueError, match="underflows to 0.0"):
@@ -403,8 +476,7 @@ class TestNumericVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected tol must not sum any series")
 
-        monkeypatch.setattr(numeval, "eval_ez_double", refuse)
-        monkeypatch.setattr(numeval, "eval_tornheim", refuse)
+        monkeypatch.setattr(numeval, "_sum_series", refuse)
         with pytest.raises(ValueError) as info:
             numeric_verify(30, 5.0, 100_000, 1e-6)
         assert str(info.value) == (

@@ -207,6 +207,14 @@ class TestCofactorSigns:
             (F(-5, 14), ZERO, F(-1, 7)),
         )
 
+    def test_computed_zeros_are_the_shared_zero(self):
+        # entries (2, 1) and (3, 2) are computed below the diagonal and vanish
+        m = CoeffMatrix.from_rows([[-2, 0, 0], [0, -3, 0], [5, 0, -7]])
+        for inv in (invert_forward(m), invert_cofactor(m)):
+            assert inv.entries[1][0] is ZERO
+            assert inv.entries[2][1] is ZERO
+            assert inv.entries[2][0] == F(-5, 14)
+
 
 class TestDetDij:
     def test_adjacent_minor_is_entry(self):
