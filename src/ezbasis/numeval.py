@@ -14,10 +14,10 @@ accumulate(m^c for m = 1, 2, ...); the Tornheim inner values come from
 the forward differences of the integer polynomial P = den * C_a at
 N = 2, one nested accumulate per order.  Each term is then
 float(v) * n^(-e), divided by den for Tornheim, and real s feeds the
-terms straight into fsum.  Complex s reads the magnitudes once, in
-blocks, and multiplies them into the phase table exp(-i Im(s) log n),
-computed as cos and sin of -Im(s) log n; the real products stream into
-one fsum and the imaginary ones are kept for the other.
+terms straight into fsum.  Complex s stores the magnitudes and
+multiplies them into the phase table exp(-i Im(s) log n), computed as
+cos and sin of -Im(s) log n, once for the real fsum and once for the
+imaginary one.
 
 `numeric_verify` walks the shifts e = 0, 1, ... once per point: the
 powers n^(-Re(s)-e) come from one float copy of the bases, and
@@ -61,7 +61,7 @@ import cmath
 import math
 from array import array
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import comb, gcd, lcm
 from operator import add, mul, truediv
 
@@ -71,8 +71,6 @@ from .exactnum import _faulhaber_ints, bernoulli
 from .relations import basis_representation, relation_family
 
 _SLACK = 17.0 / 16.0
-# terms per block of the one pass over a complex series' magnitudes
-_CHUNK = 4096
 _MIN_SIGMA = 2.1
 
 
@@ -153,24 +151,27 @@ def _phase_table(tau: float, cutoff: int) -> tuple[array, array]:
     return array("d", map(math.cos, angles)), array("d", map(math.sin, angles))
 
 
+def _powers(bases, expo: float):
+    """n^(-expo) for each float n of `bases`."""
+    return map(pow, bases, repeat(-expo))
+
+
 def _sum_series(s: complex, cutoff: int, shift: int, inner, top: int, den: int = 1,
                 powers=None) -> complex:
     """fsum of v_n/den * n^(-s-shift) for n = 2..cutoff.
 
     `inner` yields the exact positive integers v_2, ..., v_cutoff,
     which increase with n, and `top` is at least v_cutoff.  `powers`,
-    when given, yields n^(-Re(s)-shift) for the same n.  Real s sums
-    the magnitudes directly; complex s reads them once, in blocks of
-    _CHUNK, multiplies each block into the phase table of the point,
-    streams the real products into fsum and keeps the imaginary ones
-    for a second fsum.
+    when given, is `_powers` of the same n; otherwise they are streamed
+    from float bases.  Real s sums the magnitudes directly; complex s
+    multiplies them into the phase table of the point.
     """
     expo = s.real + shift
     ns = range(2, cutoff + 1)
     if _plain_float_ok(top, cutoff, expo):
         # the guard holds at every n <= cutoff, see module docstring
         if powers is None:
-            powers = map(pow, ns, repeat(-expo))
+            powers = _powers(map(float, ns), expo)
         mags = map(mul, map(float, inner), powers)
     else:
         mags = map(_term_float, inner, ns, repeat(expo))
@@ -178,16 +179,11 @@ def _sum_series(s: complex, cutoff: int, shift: int, inner, top: int, den: int =
         mags = map(truediv, mags, repeat(den))
     if s.imag == 0.0:
         return complex(math.fsum(mags), 0.0)
+    # the table first, so that its transient build and the stored
+    # magnitudes are not alive at the same time
     re, im = _phase_table(s.imag, cutoff)
-    im_parts = array("d")
-
-    def block_products(start: int):
-        block = list(islice(mags, _CHUNK))
-        im_parts.extend(map(mul, block, im[start:start + _CHUNK]))
-        return map(mul, block, re[start:start + _CHUNK])
-
-    real = math.fsum(chain.from_iterable(map(block_products, range(0, cutoff - 1, _CHUNK))))
-    return complex(real, math.fsum(im_parts))
+    mags = array("d", mags)
+    return complex(math.fsum(map(mul, mags, re)), math.fsum(map(mul, mags, im)))
 
 
 def _ez_inner(c: int, cutoff: int):
@@ -284,7 +280,7 @@ def _series_values(s: complex, cutoff: int, top_index: int, n_prime: int) -> lis
     ez, torn = [], []
     for e in range(top_index + 1):
         # rebinding first frees the last table before the next is built
-        powers = map(pow, bases, repeat(-(s.real + e)))
+        powers = _powers(bases, s.real + e)
         if e % 2 == 0 and e // 2 < n_prime:
             powers = array("d", powers)
             torn.append(_sum_series(s, cutoff, e, *_tornheim_inner(e // 2, cutoff), powers=powers))

@@ -298,8 +298,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected tol must not sum any series")
 
-        monkeypatch.setattr(cli.numeval, "eval_ez_double", refuse)
-        monkeypatch.setattr(cli.numeval, "eval_tornheim", refuse)
+        monkeypatch.setattr(cli.numeval, "_sum_series", refuse)
         code, out, err = run_cli(capsys, "verify", "--n", "30", "--mode", "numeric", "--s", "5")
         assert (code, out) == (2, "")
         assert err == (
