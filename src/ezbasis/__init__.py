@@ -34,12 +34,9 @@ from .analytic import (
 from .errors import SingularMatrixError, VerificationError
 from .exactnum import FaulhaberPoly, bernoulli, faulhaber, rat_to_str
 from .relations import (
-    BasisFunction,
     BasisRepresentation,
     RelationVector,
-    basis_list,
     basis_representation,
-    dimension,
     relation_family,
     residue_system_representation,
 )
@@ -51,7 +48,6 @@ from .trilinalg import invert_cofactor, invert_forward, mat_mul
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisFunction",
     "BasisRepresentation",
     "CoeffMatrix",
     "FaulhaberPoly",
@@ -64,11 +60,9 @@ __all__ = [
     "SingularMatrixError",
     "VerificationError",
     "ZetaShiftExpansion",
-    "basis_list",
     "basis_representation",
     "bernoulli",
     "build_matrix_A",
-    "dimension",
     "eval_ez_double",
     "eval_tornheim",
     "faulhaber",

@@ -16,7 +16,8 @@ but these expansions: it never touches the coefficient matrix or its
 inverses, so it checks the matrix path rather than repeating it.  It
 adds integer numerators over one common denominator per relation, and
 takes each expansion in the same integer form, built from the Bernoulli
-numerators without an intermediate `Fraction`.
+numerators without an intermediate `Fraction`.  `verify_relations_exact`
+takes its rows from `relations._family_terms` and counts what it collapsed.
 
 The same expansion independently reproduces the pole catalog: each
 zeta(s+j-1) contributes a simple pole at s = 2-j with residue q_j, so
@@ -27,7 +28,6 @@ enforces exactly that.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
@@ -36,7 +36,7 @@ from ._record import record
 from .coeffs import ZERO
 from .errors import VerificationError
 from .exactnum import _faulhaber_ints, bernoulli, rat_to_str
-from .relations import RelationVector, _solved_rows, function_label
+from .relations import RelationVector, _family_terms, function_label
 
 S_EQ_2 = "s_eq_2"
 S_EQ_1 = "s_eq_1"
@@ -49,12 +49,12 @@ class PoleRecord:
 
     `annotation` preserves the closed form of the residue for display
     ("binom(-2,1)*zeta(-1)" and the like); the residue itself is always
-    the evaluated rational, never symbolic.
+    the evaluated rational, never symbolic.  The location is one that a
+    residue formula gives: 2, 1 or a non-positive even integer.
     """
 
     location: int
     residue: Fraction
-    source_label: str
     annotation: str = ""
 
     def __post_init__(self) -> None:
@@ -62,8 +62,13 @@ class PoleRecord:
             object.__setattr__(self, "residue", Fraction(self.residue))
         if not self.residue:
             raise ValueError("a pole record must carry a nonzero residue")
-        if self.source_label not in (S_EQ_2, S_EQ_1, S_EQ_MINUS_2K):
-            raise ValueError(f"unknown source label {self.source_label!r}")
+        if self.location not in (2, 1) and (self.location > 0 or self.location % 2):
+            raise ValueError(f"no residue formula gives a pole at s = {self.location}")
+
+    @property
+    def source_label(self) -> str:
+        """Which residue formula gives the pole, read from its location."""
+        return {2: S_EQ_2, 1: S_EQ_1}.get(self.location, S_EQ_MINUS_2K)
 
 
 @record
@@ -147,10 +152,8 @@ def pole_table(n: int) -> PoleTable:
     if n < 0:
         raise ValueError("n must be >= 0")
     records = [
-        PoleRecord(location=2, residue=Fraction(1, n + 1), source_label=S_EQ_2,
-                   annotation=f"1/({n}+1)"),
+        PoleRecord(location=2, residue=Fraction(1, n + 1), annotation=f"1/({n}+1)"),
         PoleRecord(location=1, residue=Fraction(-1) if n == 0 else Fraction(-1, 2),
-                   source_label=S_EQ_1,
                    annotation="2*zeta(0)" if n == 0 else "zeta(0)"),
     ]
     for k in range(n // 2):
@@ -160,7 +163,6 @@ def pole_table(n: int) -> PoleTable:
             PoleRecord(
                 location=-2 * k,
                 residue=residue,
-                source_label=S_EQ_MINUS_2K,
                 annotation=f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})",
             )
         )
@@ -238,22 +240,11 @@ def residues_from_expansion(c: int) -> PoleTable:
     `pole_table(c)` record by record; a mismatch raises
     VerificationError.
     """
-    exp = zeta_shift_expansion(c)
-    records = []
-    for j, qj in enumerate(exp.q):
-        if not qj:
-            continue
-        if j == 0:
-            label = S_EQ_2
-        elif j == 1:
-            label = S_EQ_1
-        else:
-            label = S_EQ_MINUS_2K
-        records.append(
-            PoleRecord(location=2 - j, residue=qj, source_label=label,
-                       annotation=f"q_{j}")
-        )
-    table = PoleTable(n=c, records=tuple(records))
+    records = tuple(
+        PoleRecord(location=2 - j, residue=qj, annotation=f"q_{j}")
+        for j, qj in enumerate(zeta_shift_expansion(c).q) if qj
+    )
+    table = PoleTable(n=c, records=records)
     direct = pole_table(c)
     if table.locations() != direct.locations():
         raise VerificationError(
@@ -328,41 +319,38 @@ def collapse_relation(rel: RelationVector) -> dict[int, Fraction]:
     return {j: Fraction(v, D) for j, v in enumerate(acc) if v}
 
 
-def _family_terms(N: int) -> Iterator[tuple[str, list[tuple[int, int, int]]]]:
-    """(origin, `_collapse` terms) of each row `verify_relations_exact` collapses.
-
-    The integers come from `relations._solved_rows`; the representation
-    rows are those of `BasisRepresentation.as_relation_vector`.
-    """
-    rels, reps = _solved_rows(N // 2, range((N + 1) // 2))
-    for i, (x, dx, y, dy) in enumerate(rels, start=1):
-        yield f"relation {i}", ([(2 * k, v, dx) for k, v in enumerate(x)]
-                                + [(2 * k + 1, -v, dy) for k, v in enumerate(y)])
-    for m, (x, d) in enumerate(reps):
-        yield f"representation m = {m}", [(2 * m + 1, 1, 1)] + [
-            (2 * k, -v, d) for k, v in enumerate(x)
-        ]
-
-
 def verify_relations_exact(N: int) -> ExactRelationReport:
     """Collapse every relation and basis representation of the size-N family.
 
     Checks the floor(N/2) relation vectors of `relation_family(N)` and
     the representations for m <= floor((N-1)/2); each must cancel to
     the zero vector over the zeta(s+j-1) symbols.  Nonzero residual
-    coordinates are reported with their origin and j index.
+    coordinates are reported with their origin and j index, and so is a
+    count of collapsed rows short of the family's size.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    n_rel, ms = N // 2, range((N + 1) // 2)
+    rels, reps = _family_terms(n_rel, ms)
     failures = []
-    for origin, terms in _family_terms(N):
+
+    def collapse(origin, terms):
         D, acc = _collapse(terms)
-        failures += [f"{origin}: residual {Fraction(v, D)} on j = {j}"
-                     for j, v in enumerate(acc) if v]
+        failures.extend(f"{origin}: residual {Fraction(v, D)} on j = {j}"
+                        for j, v in enumerate(acc) if v)
+
+    n_rels = n_reps = 0
+    for n_rels, terms in enumerate(rels, start=1):
+        collapse(f"relation {n_rels}", terms)
+    for n_reps, terms in enumerate(reps, start=1):
+        collapse(f"representation m = {n_reps - 1}", terms)
+    for got, want, kind in ((n_rels, n_rel, "relations"), (n_reps, len(ms), "representations")):
+        if got != want:
+            failures.append(f"collapsed {got} of {want} {kind}")
     return ExactRelationReport(
         n=N,
-        relations_checked=N // 2,
-        representations_checked=(N + 1) // 2,
+        relations_checked=n_rels,
+        representations_checked=n_reps,
         failures=tuple(failures),
     )
 

@@ -28,16 +28,6 @@ _FORMATS = ("text", "json", "latex", "csv")
 _NUMERIC_WORK_CEILING = 4 * 10**7
 
 
-def __getattr__(name: str):
-    # numeval loads on first numeric check (see `_verify_numeric`), yet
-    # `cli.numeval` still names it
-    if name == "numeval":
-        from . import numeval
-
-        return numeval
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _parse_complex(text: str) -> complex:
     """Parse 5, 4+3j or 4+3i; only a trailing i is read as the imaginary unit."""
     cleaned = text.strip().replace(" ", "")

@@ -80,36 +80,38 @@ class CoeffMatrix:
     """Dense exact-rational matrix.
 
     Construction converts every entry to `Fraction` and checks that the
-    grid matches the declared dimensions; equality and hashing compare
-    the dimensions and the grid.
+    grid is non-empty with rows of equal length; the dimensions are read
+    off the grid, and equality and hashing compare the grid.
     """
 
-    rows: int
-    cols: int
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
         grid = tuple(
             tuple(x if type(x) is Fraction else Fraction(x) for x in row)
             for row in self.entries
         )
         object.__setattr__(self, "entries", grid)
-        if len(grid) != self.rows or any(len(row) != self.cols for row in grid):
-            raise ValueError("entry grid does not match declared dimensions")
+        if not grid or not grid[0]:
+            raise ValueError("matrix dimensions must be positive")
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise ValueError("rows must have equal length")
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
 
     @classmethod
     def from_rows(cls, rows) -> CoeffMatrix:
-        grid = tuple(tuple(row) for row in rows)
-        if not grid:
-            raise ValueError("matrix dimensions must be positive")
-        return cls(rows=len(grid), cols=len(grid[0]), entries=grid)
+        return cls(entries=rows)
 
     @classmethod
     def identity(cls, n: int) -> CoeffMatrix:
-        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        return cls.from_rows(rows)
+        return cls(entries=[[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,10 +183,8 @@ def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
     n_prime = A.rows // 2
     if A.cols != n_prime:
         raise ValueError("matrix must have shape 2k x k")
-    odd = [A.entries[2 * i] for i in range(n_prime)]
-    even = [A.entries[2 * i + 1] for i in range(n_prime)]
-    a1 = CoeffMatrix.from_rows(odd)
-    a2 = CoeffMatrix.from_rows(even)
+    a1 = CoeffMatrix(entries=A.entries[0::2])
+    a2 = CoeffMatrix(entries=A.entries[1::2])
     require_lower_triangular(a1)
     require_lower_triangular(a2)
     return a1, a2
@@ -199,7 +199,6 @@ class PowerSumReport:
     """Outcome of the power-sum check for e = 1..e_max."""
 
     e_max: int
-    checked: int
     failures: tuple[int, ...]
 
     @property
@@ -255,7 +254,7 @@ def verify_power_sum_identity(e_max: int) -> PowerSumReport:
             g += g << k
         if g != (1 << (k * e)) + 1:
             failures.append(e)
-    return PowerSumReport(e_max=e_max, checked=e_max, failures=tuple(failures))
+    return PowerSumReport(e_max=e_max, failures=tuple(failures))
 
 
 def tornheim_decomposition(c: int) -> tuple[Fraction, ...]:

@@ -24,7 +24,10 @@ powers n^(-Re(s)-e) come from one float copy of the bases, and
 zeta(-2a, s+2a) and T(-a, -a; s+2a) share one table.  The phase table
 is kept for the last (Im s, cutoff).  `eval_ez_double` and
 `eval_tornheim` sum through the same `_sum_series`, so every value is
-the same bit for bit either way.
+the same bit for bit either way.  The identities' weights are the
+integer terms (p, n, d) of `relations._family_terms`, which the exact
+collapse reads too; n/d (n/(2d) at p = 0) is one correctly rounded
+division, the float that the reduced `Fraction` gives.
 
 The overflow guard is checked once per series.  A term takes the
 plain formula when its inner integer has under 900 bits and
@@ -68,7 +71,7 @@ from operator import add, mul, truediv
 from ._record import record
 from .coeffs import tornheim_decomposition
 from .exactnum import _faulhaber_ints, bernoulli
-from .relations import basis_representation, relation_family
+from .relations import _family_terms
 
 _SLACK = 17.0 / 16.0
 _MIN_SIGMA = 2.1
@@ -80,7 +83,6 @@ class NumericResult:
 
     value: complex
     tail_bound: float
-    terms_used: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", complex(self.value))
@@ -88,15 +90,6 @@ class NumericResult:
             raise ValueError("value must be finite")
         if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0):
             raise ValueError("tail bound must be finite and non-negative")
-        if self.terms_used < 1:
-            raise ValueError("at least one term must be used")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "tail_bound": self.tail_bound,
-            "terms": self.terms_used,
-        }
 
 
 def _require_finite(s: complex) -> complex:
@@ -205,7 +198,6 @@ def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
     return NumericResult(
         value=_sum_series(s, cutoff, c, *_ez_inner(c, cutoff)),
         tail_bound=_tail_bound(s.real, cutoff, c + 1),
-        terms_used=cutoff - 1,
     )
 
 
@@ -264,7 +256,6 @@ def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
     return NumericResult(
         value=_sum_series(s, cutoff, 2 * a, *_tornheim_inner(a, cutoff)),
         tail_bound=_tail_bound(s.real, cutoff, a + 1),
-        terms_used=cutoff - 1,
     )
 
 
@@ -422,6 +413,11 @@ class NumericReport:
         }
 
 
+def _weights(terms: list[tuple[int, int, int]]) -> list[tuple[float, int]]:
+    """(weight, p) over zeta(-p, s+p) of the nonzero terms; zeta(0,s) takes n/(2d)."""
+    return [(n / (2 * d if p == 0 else d), p) for p, n, d in terms if n]
+
+
 def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport:
     """Evaluate every identity of the size-N family at the point s.
 
@@ -450,15 +446,9 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     # terms over zeta(-c, s+c) for c <= top_index, followed by
     # T(-a, -a; s+2a) for a < n_prime at index torn + a
     torn = top_index + 1
-    folded = [(f"relation {idx}", rel) for idx, rel in enumerate(relation_family(N), start=1)]
-    folded += [
-        (f"representation m={m}", basis_representation(m).as_relation_vector())
-        for m in range(m_top + 1)
-    ]
-    plans = [
-        (name, [(float(w), p) for p, w in enumerate(rel.folded_coefficients()) if w])
-        for name, rel in folded
-    ]
+    rels, reps = _family_terms(n_prime, range(m_top + 1))
+    plans = [(f"relation {i}", _weights(terms)) for i, terms in enumerate(rels, start=1)]
+    plans += [(f"representation m={m}", _weights(terms)) for m, terms in enumerate(reps)]
     for c in range(2 * n_prime):
         # zeta(0,s)/2 for c = 0, minus the Tornheim side
         terms = [(0.5 if c == 0 else 1.0, c)]

@@ -9,8 +9,9 @@ the constant row of the coefficient matrix; every public
 BasisRepresentation folds it away and speaks about zeta(0,s) itself.
 
 `relation_family` and the matrix path below share one back-substitution
-on the integer coefficient rows and build no inverse.  Two independent
-derivations of the same basis coefficients exist:
+on the integer coefficient rows and build no inverse, and `_family_terms`
+lays the solved rows out for `relation_family` and both verifiers.  Two
+independent derivations of the same basis coefficients exist:
 
 * `basis_representation` reads them off a row of A2 * A1^(-1), pure
   exact linear algebra on the integer coefficient rows, by one
@@ -25,7 +26,7 @@ Their exact agreement for every m is one of the package's main checks.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
@@ -37,7 +38,6 @@ from .exactnum import _over_lcm, rat_to_str
 
 MATRIX_PATH = "matrix_path"
 RESIDUE_PATH = "residue_path"
-_PROVENANCES = (MATRIX_PATH, RESIDUE_PATH)
 
 
 def function_label(p: int) -> str:
@@ -89,7 +89,6 @@ class RelationVector:
     """
 
     coefficients: tuple[Fraction, ...]
-    provenance: str
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -99,8 +98,6 @@ class RelationVector:
         )
         if all(x == 0 for x in self.coefficients):
             raise ValueError("relation must have a nonzero coefficient")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def folded_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients over the unhalved functions zeta(-p, s+p).
@@ -118,26 +115,46 @@ def relation_family(N: int) -> list[RelationVector]:
 
     Row i of A1^(-1) contributes the even positions and row i of
     -A2^(-1) the odd positions of relation i; relation 1 is
-    zeta(0,s)/2 - zeta(-1,s+1) = 0.  The rows come from `_solved_rows`.
+    zeta(0,s)/2 - zeta(-1,s+1) = 0.  The weights come from `_family_terms`.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     n_prime = N // 2
     out = []
-    for x, dx, y, dy in _solved_rows(n_prime, range(0))[0]:
+    for terms in _family_terms(n_prime, range(0))[0]:
         coeffs = [ZERO] * (2 * n_prime)
-        coeffs[0:2 * len(x):2] = [Fraction(v, dx) for v in x]
-        coeffs[1:2 * len(y):2] = [Fraction(-v, dy) for v in y]
-        out.append(RelationVector(coefficients=tuple(coeffs), provenance=MATRIX_PATH))
+        for p, n, d in terms:
+            coeffs[p] = Fraction(n, d)
+        out.append(RelationVector(coefficients=tuple(coeffs)))
     return out
+
+
+def _family_terms(n_rel: int, ms: range) -> tuple[Iterator[list], Iterator[list]]:
+    """Relations 1..n_rel and representations m in ms as integer terms (p, n, d).
+
+    Term (p, n, d) weights position p by n/d, in ascending p.  Relation
+    i is x/dx on the even and -y/dy on the odd positions; representation
+    m is -x/d on the even positions and 1 on 2m+1.  Each row of
+    `_solved_rows` is laid out only when its generator reaches it.
+    """
+    rels, reps = _solved_rows(n_rel, ms)
+    rel_terms = (
+        [t for k in range(len(x)) for t in ((2 * k, x[k], dx), (2 * k + 1, -y[k], dy))]
+        for x, dx, y, dy in rels
+    )
+    rep_terms = (
+        [(2 * k, -v, d) for k, v in enumerate(x)] + [(2 * m + 1, 1, 1)]
+        for m, (x, d) in zip(ms, reps)
+    )
+    return rel_terms, rep_terms
 
 
 def _solved_rows(n_rel: int, ms: range) -> tuple[list, list]:
     """`_solve_left`'s integer rows of relations 1..n_rel and representations m in ms.
 
-    Relation i+1 is (x, dx, y, dy): x * A1 = e_i gives x/dx on the even
-    positions, y * A2 = e_i gives -y/dy on the odd ones.  Representation
-    m is (x, d) as in `basis_representation`, checked by `_check_gamma`.
+    Relation i+1 is (x, dx, y, dy), with (x/dx) * A1 = e_i = (y/dy) * A2.
+    Representation m is (x, d) as in `basis_representation`, checked by
+    `_check_gamma`.  `_family_terms` lays both out over the family.
     """
     cols1, cols2 = _columns(1, max(n_rel, ms.stop)), _columns(2, n_rel)
     rels = []
@@ -227,7 +244,7 @@ class BasisRepresentation:
         )
         if self.m < 0:
             raise ValueError("m must be >= 0")
-        if self.provenance not in _PROVENANCES:
+        if self.provenance not in (MATRIX_PATH, RESIDUE_PATH):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if len(self.gamma) != self.m + 1:
             raise VerificationError("gamma must have length m + 1")
@@ -250,7 +267,7 @@ class BasisRepresentation:
         coeffs[0] = -2 * self.gamma[0]
         for k in range(1, self.m + 1):
             coeffs[2 * k] = -self.gamma[k]
-        return RelationVector(coefficients=tuple(coeffs), provenance=self.provenance)
+        return RelationVector(coefficients=tuple(coeffs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -348,32 +365,3 @@ def residue_system_representation(m: int) -> BasisRepresentation:
         )
     gamma = [Fraction(-n0, 2 * den)] + [Fraction(-num[2 * k], den) for k in range(1, m + 1)]
     return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=RESIDUE_PATH)
-
-
-def dimension(N: int) -> int:
-    """Q-dimension of the span of the size-N family: floor(N/2) + 1."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return N // 2 + 1
-
-
-@record
-class BasisFunction:
-    """Descriptor of one even-index basis member zeta(-c, s+c)."""
-
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.c < 0 or self.c % 2 != 0:
-            raise ValueError("basis members have even index c >= 0")
-
-    @property
-    def label(self) -> str:
-        return function_label(self.c)
-
-
-def basis_list(N: int) -> list[BasisFunction]:
-    """The even-index members spanning the size-N family, ascending."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return [BasisFunction(c=c) for c in range(0, N + 1, 2)]

@@ -125,7 +125,8 @@ def matrix_from_json(data: dict) -> CoeffMatrix:
     """Parse the {"rows":…,"cols":…,"entries":[[…]]} encoding.
 
     Each entry must be a "p/q" or "p" string, as `rat_to_str` writes
-    it; anything else, and a missing key, raises ValueError.
+    it; anything else, a missing key, and a "rows" or "cols" that does
+    not match the grid, raises ValueError.
     """
     try:
         rows = int(data["rows"])
@@ -133,7 +134,10 @@ def matrix_from_json(data: dict) -> CoeffMatrix:
         grid = [[_rational(x) for x in row] for row in data["entries"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    return CoeffMatrix(rows=rows, cols=cols, entries=tuple(tuple(r) for r in grid))
+    matrix = CoeffMatrix(entries=grid)
+    if (rows, cols) != (matrix.rows, matrix.cols):
+        raise ValueError(f"header says {rows}x{cols}, grid is {matrix.rows}x{matrix.cols}")
+    return matrix
 
 
 def _rational(s: str) -> Fraction:

@@ -30,12 +30,7 @@ from ezbasis.analytic import (
 from ezbasis.coeffs import ZERO
 from ezbasis.errors import VerificationError
 from ezbasis.exactnum import faulhaber
-from ezbasis.relations import (
-    MATRIX_PATH,
-    RelationVector,
-    basis_representation,
-    relation_family,
-)
+from ezbasis.relations import RelationVector, basis_representation, relation_family
 from reference import gen_binomial, zeta_neg
 
 
@@ -112,29 +107,35 @@ class TestPoleTable:
 
     def test_record_keeps_fractions_and_converts_others(self):
         x = F(1, 6)
-        assert PoleRecord(location=0, residue=x, source_label=S_EQ_MINUS_2K).residue is x
-        r = PoleRecord(location=2, residue=1, source_label=S_EQ_2)
+        assert PoleRecord(location=0, residue=x).residue is x
+        r = PoleRecord(location=2, residue=1)
         assert type(r.residue) is F and r.residue == 1
 
     def test_record_rejects_zero_residue(self):
         # the int, a fresh Fraction and the shared zero
         for zero in (0, F(0), ZERO):
             with pytest.raises(ValueError):
-                PoleRecord(location=2, residue=zero, source_label=S_EQ_2)
+                PoleRecord(location=2, residue=zero)
 
     def test_record_rejects_bad_label(self):
-        with pytest.raises(ValueError):
-            PoleRecord(location=2, residue=F(1), source_label="someplace")
+        # the label is read off the location, so a bad label is a
+        # location that no residue formula gives
+        for location in (3, -1):
+            with pytest.raises(ValueError, match=f"no residue formula .* at s = {location}$"):
+                PoleRecord(location=location, residue=F(1))
+        assert [PoleRecord(loc, F(1)).source_label for loc in (2, 1, 0, -4)] == [
+            S_EQ_2, S_EQ_1, S_EQ_MINUS_2K, S_EQ_MINUS_2K
+        ]
 
     def test_table_rejects_wrong_count(self):
-        only = (PoleRecord(location=2, residue=F(1), source_label=S_EQ_2),)
+        only = (PoleRecord(location=2, residue=F(1)),)
         with pytest.raises(ValueError):
             PoleTable(n=0, records=only)
 
     def test_table_rejects_unsorted(self):
         recs = (
-            PoleRecord(location=1, residue=F(-1), source_label=S_EQ_1),
-            PoleRecord(location=2, residue=F(1), source_label=S_EQ_2),
+            PoleRecord(location=1, residue=F(-1)),
+            PoleRecord(location=2, residue=F(1)),
         )
         with pytest.raises(ValueError):
             PoleTable(n=0, records=recs)
@@ -276,7 +277,7 @@ class TestCollapseRelation:
             assert collapse_relation(rel) == {}
 
     def test_invalid_relation_leaves_residue(self):
-        bad = RelationVector(coefficients=(F(1), F(-2)), provenance=MATRIX_PATH)
+        bad = RelationVector(coefficients=(F(1), F(-2)))
         residual = collapse_relation(bad)
         # zeta(0,s)/2 - 2 zeta(-1,s+1): coordinates (1/2 - 1, -1/2 + 1)
         assert residual == {0: F(-1, 2), 1: F(1, 2)}
@@ -304,7 +305,7 @@ def _collapse_reference(rel):
 def _corrupted(rel, position, delta):
     coeffs = list(rel.coefficients)
     coeffs[position] += delta
-    return RelationVector(coefficients=tuple(coeffs), provenance=rel.provenance)
+    return RelationVector(coefficients=tuple(coeffs))
 
 
 def _vectors_n100():
@@ -344,7 +345,7 @@ class TestCollapseAgainstFractionLoop:
     def test_independent_of_matrix_path(self, monkeypatch):
         exact, corrupted = _vectors_n100()
         expected = [_collapse_reference(rel) for rel in corrupted]
-        rows = [terms for _, terms in analytic._family_terms(100)]
+        rows = [terms for gen in relations._family_terms(50, range(50)) for terms in gen]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the collapse oracle must not use the matrix path")
@@ -355,7 +356,7 @@ class TestCollapseAgainstFractionLoop:
         for name in ("relation_family", "basis_representation", "_solved_rows",
                      "_solve_left", "coeff_row"):
             monkeypatch.setattr(relations, name, refuse)
-        monkeypatch.setattr(analytic, "_solved_rows", refuse)
+        monkeypatch.setattr(analytic, "_family_terms", refuse)
         monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)
         zeta_shift_expansion.cache_clear()
         for rel in exact:
@@ -371,44 +372,6 @@ class TestCollapseAgainstFractionLoop:
             getattr(obj, "__module__", None) == trilinalg.__name__
             for obj in vars(analytic).values()
         )
-
-
-class TestFamilyTerms:
-    @pytest.mark.parametrize("N", [2, 3, 12, 13, 61, 100])
-    def test_rows_match_the_public_objects(self, N):
-        # the integer rows the exact verify collapses are the relation
-        # vectors and representations, entry for entry
-        public = [(f"relation {i}", rel) for i, rel in enumerate(relation_family(N), start=1)]
-        public += [
-            (f"representation m = {m}", basis_representation(m).as_relation_vector())
-            for m in range((N + 1) // 2)
-        ]
-        rows = list(analytic._family_terms(N))
-        assert [origin for origin, _ in rows] == [origin for origin, _ in public]
-        for (origin, terms), (_, rel) in zip(rows, public):
-            weights = {p: F(n, d) for p, n, d in terms}
-            assert len(weights) == len(terms), origin
-            coeffs = [weights.pop(p, F(0)) for p in range(len(rel.coefficients))]
-            assert coeffs == list(rel.coefficients) and not weights, origin
-
-    def test_kernel_reduces_each_term(self):
-        # 6/4 of zeta(-1,s+1) is 3/2: unreduced terms give the same
-        # coordinates over the same least denominator
-        D, acc = analytic._collapse([(1, 6, 4)])
-        assert (D, acc) == analytic._collapse([(1, 3, 2)])
-        assert D == 4 and acc == [3, -3, 0]
-
-    def test_verify_builds_no_fraction_or_record(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("exact verify must stay on integer rows")
-
-        for module in (relations, analytic):
-            monkeypatch.setattr(module, "Fraction", refuse)
-        for name in ("RelationVector", "BasisRepresentation", "relation_family",
-                     "basis_representation"):
-            monkeypatch.setattr(relations, name, refuse)
-        report = verify_relations_exact(61)
-        assert report.ok and report.relations_checked == 30
 
 
 class TestVerifyRelationsExact:

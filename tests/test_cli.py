@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ezbasis.cli as cli
-from ezbasis import coeffs
+from ezbasis import coeffs, numeval, relations
 from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.trilinalg import invert_forward
 from golden_values import BASIS_LATEX_M5, CLI_STDOUT
@@ -268,17 +268,17 @@ class TestVerify:
         assert obj["numeric"]["passed"] is True
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
-        real = cli.numeval.numeric_verify
+        real = numeval.numeric_verify
 
         def doctored(N, s, cutoff, tol):
             report = real(N, s, cutoff, tol)
-            bad = cli.numeval.NumericCheck(name="planted", residual=1.0, bound=2.0)
-            return cli.numeval.NumericReport(
+            bad = numeval.NumericCheck(name="planted", residual=1.0, bound=2.0)
+            return numeval.NumericReport(
                 n=report.n, s=report.s, cutoff=report.cutoff,
                 tol=report.tol, checks=report.checks + (bad,),
             )
 
-        monkeypatch.setattr(cli.numeval, "numeric_verify", doctored)
+        monkeypatch.setattr(numeval, "numeric_verify", doctored)
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--mode", "numeric",
             "--cutoff", "1000", "--tol", "1e-4",
@@ -298,7 +298,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected tol must not sum any series")
 
-        monkeypatch.setattr(cli.numeval, "_sum_series", refuse)
+        monkeypatch.setattr(numeval, "_sum_series", refuse)
         code, out, err = run_cli(capsys, "verify", "--n", "30", "--mode", "numeric", "--s", "5")
         assert (code, out) == (2, "")
         assert err == (
@@ -438,7 +438,7 @@ class TestCeilings:
         def refuse(*args, **kwargs):
             raise AssertionError("nothing may run above the ceiling")
 
-        monkeypatch.setattr(cli.numeval, "numeric_verify", refuse)
+        monkeypatch.setattr(numeval, "numeric_verify", refuse)
         monkeypatch.setattr(cli.analytic, "verify_relations_exact", refuse)
         code, out, err = run_cli(
             capsys, "verify", "--n", "600", "--mode", mode, "--cutoff", "70000",
@@ -461,14 +461,14 @@ class TestVerifyExactMutants:
 
     @staticmethod
     def _corrupt_solved_rows(monkeypatch, corrupt):
-        solved_rows = cli.analytic._solved_rows
+        solved_rows = relations._solved_rows
 
         def corrupted(n_rel, ms):
             rels, reps = solved_rows(n_rel, ms)
             corrupt(rels, reps)
             return rels, reps
 
-        monkeypatch.setattr(cli.analytic, "_solved_rows", corrupted)
+        monkeypatch.setattr(relations, "_solved_rows", corrupted)
 
     def test_corrupted_relation_row(self, capsys, monkeypatch):
         # numerator x_0 of relation 2, over dx = -2: weight -1/2 more
@@ -497,6 +497,35 @@ class TestVerifyExactMutants:
             "  representation m = 3: residual 1/24 on j = 2\n"
             "result: FAIL\n"
         ), "")
+
+    @pytest.mark.parametrize("kind", ["relations", "representations"])
+    def test_dropped_row(self, capsys, monkeypatch, kind):
+        # the last row of one kind never reaches the collapse
+        def corrupt(rels, reps):
+            (rels if kind == "relations" else reps).pop()
+
+        self._corrupt_solved_rows(monkeypatch, corrupt)
+        counts = "5 relations, 6" if kind == "relations" else "6 relations, 5"
+        assert run_cli(capsys, "verify", "--n", "12", "--mode", "exact") == (1, (
+            _EXACT_HEAD + f"relation collapse: FAIL ({counts} representations)\n"
+            f"  collapsed 5 of 6 {kind}\n"
+            "result: FAIL\n"
+        ), "")
+
+    def test_dropped_rows_in_json(self, capsys, monkeypatch):
+        def corrupt(rels, reps):
+            # a later relation takes the dropped one's number, and still collapses
+            del rels[2], reps[-1]
+
+        self._corrupt_solved_rows(monkeypatch, corrupt)
+        code, out, _ = run_cli(capsys, "verify", "--n", "12", "--mode", "exact",
+                               "--format", "json")
+        assert code == 1
+        assert json.loads(out)["exact"]["relations"] == {
+            "relations_checked": 5,
+            "representations_checked": 5,
+            "failures": ["collapsed 5 of 6 relations", "collapsed 5 of 6 representations"],
+        }
 
     @pytest.mark.parametrize(
         "c, d, out, err",

@@ -173,8 +173,16 @@ class TestCoeffMatrix:
             require_lower_triangular(CoeffMatrix.from_rows([[1, 5], [2, 3]]))
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rows must have equal length"):
             CoeffMatrix.from_rows([[1, 0], [2]])
+
+    def test_dimensions_are_read_off_the_grid(self):
+        m = CoeffMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert (m.rows, m.cols) == (2, 3)
+        assert m == CoeffMatrix(entries=((1, 2, 3), (4, 5, 6)))
+        for empty in ([], [[]]):
+            with pytest.raises(ValueError, match="dimensions must be positive"):
+                CoeffMatrix.from_rows(empty)
 
     def test_json_round_trip(self):
         m = build_matrix_A(8)
@@ -186,6 +194,12 @@ class TestCoeffMatrix:
         again = matrix_from_json(a1.to_json_dict())
         assert again == a1
         require_lower_triangular(again)
+
+    def test_json_header_must_match_the_grid(self):
+        data = build_matrix_A(8).to_json_dict()
+        for key, wrong in (("rows", 7), ("cols", 5)):
+            with pytest.raises(ValueError, match="header says"):
+                matrix_from_json(dict(data, **{key: wrong}))
 
     @pytest.mark.parametrize("entry", [1, None, [], "1/0"])
     def test_json_bad_entry_is_value_error(self, entry):
@@ -266,7 +280,6 @@ class TestVerifyPowerSum:
         report = verify_power_sum_identity(11)
         assert report.ok
         assert report.e_max == 11
-        assert report.checked == 11
         assert report.failures == ()
 
     def test_minimal_run(self):

@@ -11,6 +11,7 @@ from math import comb, lcm
 import pytest
 
 import ezbasis.numeval as numeval
+import ezbasis.relations as relations
 from ezbasis.coeffs import tornheim_decomposition
 from ezbasis.exactnum import bernoulli, faulhaber
 from ezbasis.numeval import (
@@ -160,7 +161,6 @@ class TestEvalEzDouble:
     def test_tail_bound_small_at_large_cutoff(self):
         r = eval_ez_double(0, 5.0, 100_000)
         assert 0 < r.tail_bound < 1e-14
-        assert r.terms_used == 99_999
 
     def test_c1_against_shifted_zetas(self):
         # zeta(-1, s+1) = (zeta(s-1) - zeta(s)) / 2
@@ -349,19 +349,11 @@ class TestZetaReference:
 class TestNumericResult:
     def test_validation(self):
         with pytest.raises(ValueError):
-            NumericResult(value=float("nan"), tail_bound=0.0, terms_used=5)
+            NumericResult(value=float("nan"), tail_bound=0.0)
         with pytest.raises(ValueError):
-            NumericResult(value=1.0, tail_bound=-1e-3, terms_used=5)
+            NumericResult(value=1.0, tail_bound=-1e-3)
         with pytest.raises(ValueError):
-            NumericResult(value=1.0, tail_bound=0.0, terms_used=0)
-
-    def test_json_shape(self):
-        r = NumericResult(value=complex(1.5, -0.25), tail_bound=1e-9, terms_used=42)
-        assert r.to_json_dict() == {
-            "value": [1.5, -0.25],
-            "tail_bound": 1e-9,
-            "terms": 42,
-        }
+            NumericResult(value=1.0, tail_bound=math.inf)
 
 
 def _reference_checks(N: int, s: complex, cutoff: int) -> list[tuple[str, float, float]]:
@@ -473,6 +465,30 @@ class TestNumericVerify:
         assert str(info.value) == (
             "tol 1e-06 is not above the achievable bound 5.607e+01; raise tol or the cutoff"
         )
+
+    def test_weights_come_from_the_integer_rows(self, monkeypatch):
+        # the plan reads `relations._family_terms`, not the public records
+        expected = numeric_verify(13, 5.0, 1_000, 1e-4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numeric verify must build no relation record")
+
+        for name in ("RelationVector", "BasisRepresentation", "relation_family",
+                     "basis_representation", "Fraction"):
+            monkeypatch.setattr(relations, name, refuse)
+        assert numeric_verify(13, 5.0, 1_000, 1e-4) == expected
+
+    @pytest.mark.parametrize("N", [12, 61, 200])
+    def test_weights_equal_the_folded_fractions(self, N):
+        # n/d on the unreduced integers is the float of the reduced
+        # Fraction, also where numerators run to hundreds of bits
+        rels, reps = relations._family_terms(N // 2, range((N + 1) // 2))
+        public = relation_family(N)
+        public += [basis_representation(m).as_relation_vector() for m in range((N + 1) // 2)]
+        for terms, rel in zip([*rels, *reps], public, strict=True):
+            assert numeval._weights(terms) == [
+                (float(w), p) for p, w in enumerate(rel.folded_coefficients()) if w
+            ]
 
     @pytest.mark.parametrize("N, s", [(9, 5.0), (12, complex(4, 3)), (13, 12.0)])
     def test_checks_equal_the_per_series_loop(self, N, s):

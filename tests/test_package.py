@@ -4,6 +4,7 @@ and the value records it returns."""
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -16,7 +17,6 @@ import pytest
 import ezbasis
 from ezbasis._record import record
 from ezbasis.analytic import (
-    S_EQ_2,
     ExactRelationReport,
     PoleRecord,
     PoleTable,
@@ -26,13 +26,7 @@ from ezbasis.analytic import (
 from ezbasis.coeffs import CoeffMatrix, PowerSumReport
 from ezbasis.exactnum import FaulhaberPoly
 from ezbasis.numeval import NumericCheck, NumericReport, NumericResult
-from ezbasis.relations import (
-    MATRIX_PATH,
-    RESIDUE_PATH,
-    BasisFunction,
-    BasisRepresentation,
-    RelationVector,
-)
+from ezbasis.relations import MATRIX_PATH, RESIDUE_PATH, BasisRepresentation, RelationVector
 
 
 def test_all_resolves_without_duplicates():
@@ -100,6 +94,27 @@ def test_cold_numeric_verify_loads_numeval():
     assert proc.stdout.rstrip("\n").endswith("result: PASS")
 
 
+_TRACED = ("FUNCTION_SELF_S", "FUNCTION_CALLS", "FUNCTION_DISTINCT")
+
+
+def test_traced_names_are_public_callables_of_their_layer():
+    # the benchmark traces these functions by "layer.name"; read the
+    # names from its source, since importing it would start its machinery
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    groups = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name) and target.id in _TRACED
+    }
+    assert set(groups) == set(_TRACED)
+    for name in {n for names in groups.values() for n in names}:
+        layer, func = name.split(".")
+        module = importlib.import_module(f"ezbasis.{layer}")
+        obj = getattr(module, func, None)
+        assert not func.startswith("_") and callable(obj), name
+        assert obj.__module__ == module.__name__, name
+
+
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         ezbasis.frobnicate
@@ -107,19 +122,17 @@ def test_unknown_attribute_still_raises():
 
 # one instance of every value record, as (class, keyword arguments)
 _RECORDS = [
-    (CoeffMatrix, {"rows": 1, "cols": 2, "entries": ((F(1), F(-2, 3)),)}),
-    (PowerSumReport, {"e_max": 3, "checked": 3, "failures": ()}),
+    (CoeffMatrix, {"entries": ((F(1), F(-2, 3)),)}),
+    (PowerSumReport, {"e_max": 3, "failures": ()}),
     (FaulhaberPoly, {"c": 1, "coeffs": (F(1, 2), F(-1, 2), F(0))}),
-    (RelationVector, {"coefficients": (F(1), F(-1)), "provenance": MATRIX_PATH}),
+    (RelationVector, {"coefficients": (F(1), F(-1))}),
     (BasisRepresentation, {"m": 0, "gamma": (F(1, 2),), "provenance": RESIDUE_PATH}),
-    (BasisFunction, {"c": 2}),
-    (PoleRecord, {"location": 2, "residue": F(1, 3), "source_label": S_EQ_2,
-                  "annotation": "x"}),
+    (PoleRecord, {"location": 2, "residue": F(1, 3), "annotation": "x"}),
     (PoleTable, {"n": 1, "records": pole_table(1).records}),
     (ZetaShiftExpansion, {"c": 0, "q": (F(1), F(-1))}),
     (ExactRelationReport, {"n": 4, "relations_checked": 2,
                            "representations_checked": 2, "failures": ()}),
-    (NumericResult, {"value": 1 + 2j, "tail_bound": 0.5, "terms_used": 3}),
+    (NumericResult, {"value": 1 + 2j, "tail_bound": 0.5}),
     (NumericCheck, {"name": "x", "residual": 1.0, "bound": 2.0}),
     (NumericReport, {"n": 2, "s": 5 + 0j, "cutoff": 10, "tol": 1e-6,
                      "checks": (NumericCheck("x", 1.0, 2.0),)}),
@@ -197,11 +210,11 @@ def test_records_share_eq_hash_and_repr():
 
 
 def test_record_defaults():
-    assert PoleRecord(2, F(1, 3), S_EQ_2).annotation == ""
+    assert PoleRecord(2, F(1, 3)).annotation == ""
     assert BasisRepresentation(0, (F(1, 2),)).provenance == MATRIX_PATH
 
 
 def test_record_repr_is_the_dataclass_text():
-    assert repr(PoleRecord(2, F(1, 3), "s_eq_2")) == (
-        "PoleRecord(location=2, residue=Fraction(1, 3), source_label='s_eq_2', annotation='')"
+    assert repr(PoleRecord(2, F(1, 3))) == (
+        "PoleRecord(location=2, residue=Fraction(1, 3), annotation='')"
     )

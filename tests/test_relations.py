@@ -8,18 +8,14 @@ from math import comb
 
 import pytest
 
-from ezbasis import coeffs, relations, trilinalg
+from ezbasis import analytic, coeffs, relations, trilinalg
 from ezbasis.coeffs import build_matrix_A, split_A1_A2
 from ezbasis.errors import VerificationError
 from ezbasis.relations import (
-    MATRIX_PATH,
     RESIDUE_PATH,
-    BasisFunction,
     BasisRepresentation,
     RelationVector,
-    basis_list,
     basis_representation,
-    dimension,
     function_label,
     relation_family,
     residue_system_representation,
@@ -43,20 +39,16 @@ class TestFunctionLabel:
 class TestRelationVector:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
-            RelationVector(coefficients=(F(0), F(0)), provenance=MATRIX_PATH)
-
-    def test_rejects_unknown_provenance(self):
-        with pytest.raises(ValueError):
-            RelationVector(coefficients=(F(1),), provenance="guesswork")
+            RelationVector(coefficients=(F(0), F(0)))
 
     def test_folded_halves_head_only(self):
-        r = RelationVector(coefficients=(F(1), F(-1), F(4)), provenance=MATRIX_PATH)
+        r = RelationVector(coefficients=(F(1), F(-1), F(4)))
         assert r.folded_coefficients() == (F(1, 2), F(-1), F(4))
 
     def test_frozen(self):
-        r = RelationVector(coefficients=(F(1),), provenance=MATRIX_PATH)
+        r = RelationVector(coefficients=(F(1),))
         with pytest.raises(AttributeError):
-            r.provenance = RESIDUE_PATH
+            r.coefficients = (F(2),)
 
 
 class TestRelationFamily:
@@ -92,9 +84,6 @@ class TestRelationFamily:
                 for r1, r2 in zip(inv1, inv2)
             ]
             assert [r.coefficients for r in relation_family(N)] == expected, f"N = {N}"
-
-    def test_provenance(self):
-        assert all(r.provenance == MATRIX_PATH for r in relation_family(8))
 
     def test_imports_nothing_from_trilinalg(self):
         assert not any(
@@ -167,7 +156,7 @@ class TestBasisRepresentation:
         rep = basis_representation(5)
         again = BasisRepresentation(m=5, gamma=rep.gamma)
         assert all(a is b for a, b in zip(again.gamma, rep.gamma))
-        rel = RelationVector(coefficients=(1, F(-1, 2), 0), provenance=MATRIX_PATH)
+        rel = RelationVector(coefficients=(1, F(-1, 2), 0))
         assert rel.coefficients == (F(1), F(-1, 2), F(0))
         assert all(type(x) is F for x in rel.coefficients)
         mixed = BasisRepresentation(m=2, gamma=(F(-1, 4), -1, F(5, 2)))
@@ -380,31 +369,38 @@ class TestResiduePath:
             residue_system_representation(-2)
 
 
-class TestDimension:
-    def test_values(self):
-        assert dimension(0) == 1
-        assert dimension(1) == 1
-        assert dimension(2) == 2
-        assert dimension(12) == 7
-        assert dimension(13) == 7
-        assert dimension(200) == 101
+class TestFamilyTerms:
+    @pytest.mark.parametrize("N", [2, 3, 12, 13, 61, 100])
+    def test_rows_match_the_public_objects(self, N):
+        # the integer rows both verifiers read are the relation vectors
+        # and the representations, entry for entry, in ascending position
+        rels, reps = relations._family_terms(N // 2, range((N + 1) // 2))
+        rows = [*rels, *reps]
+        public = relation_family(N)
+        public += [basis_representation(m).as_relation_vector() for m in range((N + 1) // 2)]
+        assert len(rows) == len(public) == N
+        for i, (terms, rel) in enumerate(zip(rows, public)):
+            positions = [p for p, _, _ in terms]
+            assert positions == sorted(set(positions)), i
+            weights = {p: F(n, d) for p, n, d in terms}
+            coeffs = [weights.pop(p, F(0)) for p in range(len(rel.coefficients))]
+            assert coeffs == list(rel.coefficients) and not weights, i
 
-    def test_matches_basis_list(self):
-        for N in range(0, 40):
-            assert len(basis_list(N)) == dimension(N)
+    def test_kernel_reduces_each_term(self):
+        # 6/4 of zeta(-1,s+1) is 3/2: unreduced terms give the same
+        # coordinates over the same least denominator
+        D, acc = analytic._collapse([(1, 6, 4)])
+        assert (D, acc) == analytic._collapse([(1, 3, 2)])
+        assert D == 4 and acc == [3, -3, 0]
 
-    def test_negative(self):
-        with pytest.raises(ValueError):
-            dimension(-1)
+    def test_verify_builds_no_fraction_or_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact verify must stay on integer rows")
 
-
-class TestBasisList:
-    def test_members(self):
-        assert [b.c for b in basis_list(7)] == [0, 2, 4, 6]
-        assert [b.label for b in basis_list(2)] == ["zeta(0,s)", "zeta(-2,s+2)"]
-
-    def test_odd_index_rejected(self):
-        with pytest.raises(ValueError):
-            BasisFunction(c=3)
-        with pytest.raises(ValueError):
-            BasisFunction(c=-2)
+        for module in (relations, analytic):
+            monkeypatch.setattr(module, "Fraction", refuse)
+        for name in ("RelationVector", "BasisRepresentation", "relation_family",
+                     "basis_representation"):
+            monkeypatch.setattr(relations, name, refuse)
+        report = analytic.verify_relations_exact(61)
+        assert report.ok and report.relations_checked == 30
