@@ -17,6 +17,10 @@ through an `operator.attrgetter` stored on the class, and the names
 through `__match_args__`.  Importing `dataclasses` pulls in `inspect`
 and costs several milliseconds on every command-line start, and so did
 compiling four methods per class; this module imports only `operator`.
+
+A class that defines its own `__init__` keeps it, and one that sets
+`_record_values` compares and hashes those values in place of its
+fields; `coeffs.CoeffMatrix` takes `entries` but stores integer grids.
 """
 
 from __future__ import annotations
@@ -51,27 +55,29 @@ def _record_repr(self):
 def record(cls):
     """Make `cls` an immutable value record over its annotated fields."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    namespace = {"_setattr": object.__setattr__}
-    params = []
-    for name in names:
-        if name in cls.__dict__:
-            namespace[f"_d_{name}"] = cls.__dict__[name]
-            params.append(f"{name}=_d_{name}")
-        else:
-            params.append(name)
-    sets = "".join(f"    _setattr(self, {name!r}, {name})\n" for name in names)
-    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-    exec(f"def __init__(self, {', '.join(params)}):\n{sets}{post}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
+    if "__init__" not in cls.__dict__:
+        namespace = {"_setattr": object.__setattr__}
+        params = []
+        for name in names:
+            if name in cls.__dict__:
+                namespace[f"_d_{name}"] = cls.__dict__[name]
+                params.append(f"{name}=_d_{name}")
+            else:
+                params.append(name)
+        sets = "".join(f"    _setattr(self, {name!r}, {name})\n" for name in names)
+        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        exec(f"def __init__(self, {', '.join(params)}):\n{sets}{post}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
     cls.__eq__ = _record_eq
     cls.__hash__ = _record_hash
     cls.__repr__ = _record_repr
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     cls.__match_args__ = names
-    # the value itself for a one-field record, the tuple of values otherwise
-    cls._record_values = attrgetter(*names)
+    if "_record_values" not in cls.__dict__:
+        # the value itself for a one-field record, the tuple of values otherwise
+        cls._record_values = attrgetter(*names)
     return cls

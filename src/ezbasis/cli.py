@@ -175,9 +175,9 @@ def _matrix_output(M: coeffs.CoeffMatrix, fmt: str) -> str:
         return M.to_latex()
     if fmt == "csv":
         rows = [
-            [c + 1, d + 1, rat_to_str(M.entries[c][d])]
-            for c in range(M.rows)
-            for d in range(M.cols)
+            [c, d, cell]
+            for c, row in enumerate(M.cells(), start=1)
+            for d, cell in enumerate(row, start=1)
         ]
         return _csv_text(["c", "d", "value"], rows)
     return M.to_text()

@@ -8,18 +8,11 @@ The central object is the integer family a_{c,d} defined by
     a_{c,d} = a_{c-1,d} - a_{c-2,d-1}   (c >= 4, d >= 2)
 
 Row r of the resulting matrix carries the exact decomposition of the
-symmetric power sum m^(r-1) + n^(r-1) over the building blocks
-m^(d-1) n^(d-1) (m+n)^(r+1-2d).  Note the shift: the exponent is the
-row index minus one.  Row 1 is the degenerate constant row and is
-carried with a factor 1/2 by convention (it books the function family's
-index-0 member at half weight), so the power-sum verification below
-starts at exponent 1.  Both sides of that identity are homogeneous of
-degree r-1, so setting n = 1 loses nothing, and the verification
-checks the resulting one-variable integer polynomial identity by
-Kronecker substitution: it evaluates both sides at m = 2^k, reading
-only the integer rows of a_{c,d}, with k chosen so large that every
-coefficient of their difference fits in one base-2^k digit.  Equal
-values then mean equal polynomials.
+symmetric power sum m^(r-1) + n^(r-1) (note the shift) over the
+building blocks m^(d-1) n^(d-1) (m+n)^(r+1-2d).  Row 1 is the
+degenerate constant row and is carried with a factor 1/2 by convention
+(it books the function family's index-0 member at half weight), so the
+power-sum verification below starts at exponent 1.
 
 The matrix A for parameter N stacks rows 1..2N' over columns 1..N'
 with N' = floor(N/2).  Odd rows form the lower-triangular A1, even
@@ -31,10 +24,11 @@ both inversions in `trilinalg` run it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter, sub
 
 from ._record import record
 from .errors import SingularMatrixError
-from .exactnum import rat_to_str
 
 # shared entries: a grid that reuses these compares them by identity
 ZERO = Fraction(0)
@@ -49,18 +43,10 @@ _coeff_rows: list[list[int]] = [[1], [1], [1, -2]]
 
 
 def _ensure_rows(c: int) -> None:
+    # a_{c,d} = a_{c-1,d} - a_{c-2,d-1}, with the zero past row c-1's band
     while len(_coeff_rows) < c:
-        cc = len(_coeff_rows) + 1
-        # cc >= 4 here; rows 1..3 are seeded above
-        width = (cc + 1) // 2
-        prev = _coeff_rows[cc - 2]
-        prev2 = _coeff_rows[cc - 3]
-        row = [1]
-        for d in range(2, width + 1):
-            t1 = prev[d - 1] if d - 1 < len(prev) else 0
-            t2 = prev2[d - 2] if d - 2 < len(prev2) else 0
-            row.append(t1 - t2)
-        _coeff_rows.append(row)
+        prev2, prev = _coeff_rows[-2:]
+        _coeff_rows.append([1, *map(sub, prev[1:] + [0], prev2)])
 
 
 def coeff_row(c: int) -> tuple[int, ...]:
@@ -77,33 +63,48 @@ def coeff_row(c: int) -> tuple[int, ...]:
 
 @record
 class CoeffMatrix:
-    """Dense exact-rational matrix.
+    """Dense exact-rational matrix, stored as two grids of integers.
 
-    Construction converts every entry to `Fraction` and checks that the
-    grid is non-empty with rows of equal length; the dimensions are read
-    off the grid, and equality and hashing compare the grid.
+    Entry (i, j) is nums[i][j] / dens[i][j] in lowest terms, dens[i][j] > 0,
+    zero as 0/1: a canonical form, so `==` and `hash` compare tuples of ints.
+    The constructor takes equal-length rows of `int` and `Fraction` entries
+    and raises TypeError on any other type, a float included; kernels pass
+    reduced grids to `_from_grids`.  The renderers read the grids, and
+    `entries`, the grid of `Fraction`s, is built once, on first read.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...]  # the argument; stored as nums and dens
+    _record_values = attrgetter("nums", "dens")
 
-    def __post_init__(self) -> None:
-        grid = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in self.entries
-        )
-        object.__setattr__(self, "entries", grid)
-        if not grid or not grid[0]:
+    def __init__(self, entries) -> None:
+        pairs = [[_ratio(x, i, j) for j, x in enumerate(row, 1)]
+                 for i, row in enumerate(entries, 1)]
+        if not pairs or not pairs[0]:
             raise ValueError("matrix dimensions must be positive")
-        if any(len(row) != len(grid[0]) for row in grid):
+        if any(len(row) != len(pairs[0]) for row in pairs):
             raise ValueError("rows must have equal length")
+        # straight into the instance dict, past the frozen __setattr__
+        self.__dict__.update(nums=tuple(tuple(n for n, _ in row) for row in pairs),
+                             dens=tuple(tuple(d for _, d in row) for row in pairs))
+
+    @classmethod
+    def _from_grids(cls, nums: tuple, dens: tuple) -> CoeffMatrix:
+        m = object.__new__(cls)
+        m.__dict__.update(nums=nums, dens=dens)
+        return m
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(ZERO if not n else ONE if n == d else Fraction(n, d)
+                           for n, d in zip(*rows)) for rows in zip(self.nums, self.dens))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.nums[0])
 
     @classmethod
     def from_rows(cls, rows) -> CoeffMatrix:
@@ -111,29 +112,34 @@ class CoeffMatrix:
 
     @classmethod
     def identity(cls, n: int) -> CoeffMatrix:
-        return cls(entries=[[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        nums = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+        return cls._from_grids(nums, ((1,) * n,) * n)
+
+    def cells(self) -> list[list[str]]:
+        """Every entry as `rat_to_str` writes it: "n", or "n/d" when d > 1."""
+        return [[str(n) if d == 1 else f"{n}/{d}" for n, d in zip(*rows)]
+                for rows in zip(self.nums, self.dens)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[rat_to_str(x) for x in row] for row in self.entries],
-        }
+        return {"rows": self.rows, "cols": self.cols, "entries": self.cells()}
 
     def to_latex(self) -> str:
         """pmatrix with inline p/q fractions, one matrix row per line."""
-        lines = ["\\begin{pmatrix}"]
-        for row in self.entries:
-            lines.append(" " + " & ".join(rat_to_str(x) for x in row) + " \\\\")
-        lines.append("\\end{pmatrix}")
-        return "\n".join(lines)
+        lines = [" " + " & ".join(row) + " \\\\" for row in self.cells()]
+        return "\n".join(["\\begin{pmatrix}", *lines, "\\end{pmatrix}"])
 
     def to_text(self) -> str:
-        cells = [[rat_to_str(x) for x in row] for row in self.entries]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
-        )
+        cells = self.cells()
+        widths = [max(map(len, col)) for col in zip(*cells)]
+        return "\n".join("  ".join(map(str.rjust, row, widths)) for row in cells)
+
+
+def _ratio(x, i: int, j: int) -> tuple[int, int]:
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if not isinstance(x, int):
+        raise TypeError(f"entry ({i}, {j}) is a {type(x).__name__}, not an exact int or Fraction")
+    return int(x), 1
 
 
 def build_matrix_A(N: int) -> CoeffMatrix:
@@ -147,26 +153,22 @@ def build_matrix_A(N: int) -> CoeffMatrix:
     n_prime = N // 2
     _ensure_rows(2 * n_prime)
     # row c is its band a_{c,1..ceil(c/2)}, zero beyond by the recurrence
-    rows = [
-        [*map(Fraction, band), *[ZERO] * (n_prime - len(band))]
-        for band in _coeff_rows[: 2 * n_prime]
-    ]
-    return CoeffMatrix.from_rows(rows)
+    nums = tuple((*band, *(0,) * (n_prime - len(band))) for band in _coeff_rows[: 2 * n_prime])
+    return CoeffMatrix._from_grids(nums, ((1,) * n_prime,) * (2 * n_prime))
 
 
 def require_lower_triangular(M: CoeffMatrix) -> None:
     """Reject M unless it is square, zero above the diagonal and nonzero on it.
 
-    Shape problems raise ValueError.  A zero diagonal entry then raises
-    the more specific SingularMatrixError; the shape is checked in full
-    first, so that error always means a well-shaped but singular matrix.
+    Shape problems raise ValueError, and are checked in full before a zero
+    diagonal entry raises the more specific SingularMatrixError.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
-    for i, row in enumerate(M.entries):
+    for i, row in enumerate(M.nums):
         if any(row[i + 1:]):
             raise ValueError(f"nonzero entry above the diagonal in row {i + 1}")
-    for i, row in enumerate(M.entries):
+    for i, row in enumerate(M.nums):
         if not row[i]:
             raise SingularMatrixError(f"zero diagonal entry at position {i + 1}")
 
@@ -174,17 +176,15 @@ def require_lower_triangular(M: CoeffMatrix) -> None:
 def split_A1_A2(A: CoeffMatrix) -> tuple[CoeffMatrix, CoeffMatrix]:
     """Odd rows and even rows of A, as validated triangular matrices.
 
-    Both halves go through `require_lower_triangular`, so a corrupted A
-    (a stray entry above the diagonal, or a zero diagonal) is rejected
-    with a ValueError, the latter as SingularMatrixError.
+    Both halves go through `require_lower_triangular`, so a corrupted A is
+    rejected with a ValueError (SingularMatrixError for a zero diagonal).
     """
     if A.rows % 2 != 0:
         raise ValueError("matrix must have an even number of rows")
     n_prime = A.rows // 2
     if A.cols != n_prime:
         raise ValueError("matrix must have shape 2k x k")
-    a1 = CoeffMatrix(entries=A.entries[0::2])
-    a2 = CoeffMatrix(entries=A.entries[1::2])
+    a1, a2 = (CoeffMatrix._from_grids(A.nums[k::2], A.dens[k::2]) for k in (0, 1))
     require_lower_triangular(a1)
     require_lower_triangular(a2)
     return a1, a2

@@ -13,28 +13,25 @@ and the test suite check that the two algorithms agree on the same
 input, and the tests re-evaluate the minors by fraction-free
 elimination, so the recurrence below is cross-checked as well.
 
-All three kernels (both inversions and `mat_mul`) run on integers: each
-row (for `mat_mul` also each column of the right factor) is scaled by
-the lcm of its denominators, the arithmetic stays in integers over
-that row and column denominator, and every output entry becomes one
-reduced Fraction.  Every dot product runs at C level, as
-sum(map(mul, ...)) over the integer vectors: the cofactor recurrence
-carries its partial minors with their signs folded in, and `mat_mul`
-takes each dot product only over the overlap of the nonzero spans of
-its row and column.  Every zero entry of an inverse or a product is
-the shared `coeffs.ZERO`, so comparing two results mostly compares
-entries by identity.  The two inversions share only the row scaling,
-never their substitution or recurrence.
+The three kernels read and write the integer grids of `CoeffMatrix`
+and build no `Fraction`.  Each row (for `mat_mul` also each column of
+the right factor) is scaled to integers over the lcm L of its
+denominators as nums * (L // dens), every dot product is one C-level
+sum(map(mul, ...)), and each column of an inverse or row of a product
+is put in lowest terms by `_reduced`, one gcd map and two floordiv
+maps.  The two inversions share only that scaling and that reduction.
+The tests that rebuild inverse entries from the minors read `.entries`,
+so a shared reducer that changes a value fails them, and one that
+leaves an entry unreduced fails the canonical-form tests.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul
 
-from .coeffs import ZERO, CoeffMatrix, require_lower_triangular
+from .coeffs import CoeffMatrix, require_lower_triangular
 
 
 def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
@@ -49,11 +46,10 @@ def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
     """
     require_lower_triangular(M)
     n = M.rows
-    b, d = zip(*(_scaled_to_int(row) for row in M.entries))
-    inv = [[ZERO] * n for _ in range(n)]
+    b, d = zip(*map(_scaled, M.nums, M.dens))
+    cols = []
     for j in range(n):
-        num = [1]
-        den = b[j][j]
+        num, den = [1], b[j][j]
         for i in range(j + 1, n):
             row = b[i]
             s = sum(map(mul, row[j:i], num))
@@ -66,9 +62,8 @@ def invert_forward(M: CoeffMatrix) -> CoeffMatrix:
                 num = [y * piv for y in num]
                 num.append(-s)
                 den *= piv
-        for k, y in enumerate(num):
-            inv[j + k][j] = Fraction(y * d[j], den) if y else ZERO
-    return CoeffMatrix.from_rows(inv)
+        cols.append(_reduced(j, list(map(mul, num, repeat(d[j]))), [den] * len(num)))
+    return _from_columns(cols)
 
 
 def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
@@ -83,23 +78,21 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
 
     with d_0 = 1.  The recurrence runs on the rows scaled to integers,
     B_i = d_i * M_i: scaling row i scales every minor through it, so
-    inv[j+k][j] = (-1)^k d_k(B) * d_j / (b_{j,j} ... b_{j+k,j+k}), one
-    Fraction per entry.  The signs are folded into the carried vector
+    inv[j+k][j] = (-1)^k d_k(B) * d_j / (b_{j,j} ... b_{j+k,j+k}).
+    The signs are folded into the carried vector
     w[c-1] = (-1)^c d_{c-1} b_{j+c,j+c} ... b_{j+k-1,j+k-1}, so each
     minor is d_k = (-1)^k s_k with s_k = sum(row[j:j+k] * w), one
     C-level dot product, and s_k itself is the signed cofactor the
     entry needs.  Each step grows w by the one new diagonal entry and
     appends -s_k = (-1)^(k+1) d_k, so a full inverse costs O(n^3) like
-    forward substitution.  The tests re-evaluate the same minors by
-    fraction-free elimination, so the recurrence itself is cross-checked.
+    forward substitution.
     """
     require_lower_triangular(M)
     n = M.rows
-    b, scale = zip(*(_scaled_to_int(row) for row in M.entries))
-    inv = [[ZERO] * n for _ in range(n)]
+    b, scale = zip(*map(_scaled, M.nums, M.dens))
+    cols = []
     for j in range(n):
-        denom = b[j][j]
-        inv[j][j] = Fraction(scale[j], denom)
+        nums, dens = [scale[j]], [b[j][j]]
         # s = (-1)^k D_{j+k,j}, starting from D_{j,j} = 1 at k = 0
         s, w = 1, []
         for k in range(1, n - j):
@@ -107,53 +100,60 @@ def invert_cofactor(M: CoeffMatrix) -> CoeffMatrix:
             w.append(-s)
             row = b[j + k]
             s = sum(map(mul, row[j:j + k], w))
-            denom *= row[j + k]
-            inv[j + k][j] = Fraction(s * scale[j], denom) if s else ZERO
-    return CoeffMatrix.from_rows(inv)
+            nums.append(s * scale[j])
+            dens.append(dens[-1] * row[j + k])
+        cols.append(_reduced(j, nums, dens))
+    return _from_columns(cols)
 
 
 def mat_mul(P: CoeffMatrix, Q: CoeffMatrix) -> CoeffMatrix:
     """Exact matrix product.
 
-    Each row of P and each column of Q is scaled to integers by the lcm
-    of its denominators and carries the span [lo, hi) of its nonzero
-    numerators.  Each dot product is one C-level sum(map(mul, ...)) over
-    the overlap of the two spans, and each nonzero output entry is
-    normalised once, as Fraction(dot, dP * dQ); an empty overlap gives
-    `ZERO` without a dot product.  The spans are read from the data, so
-    the product stays generic: no entry of either factor is assumed zero.
+    Each scaled row of P and column of Q carries the span [lo, hi) of
+    its nonzero numerators, and each dot product runs only over the
+    overlap of the two spans, an empty overlap giving 0 without one.
+    The spans are read from the data: no entry of either factor is
+    assumed zero.  Each output row is reduced over the products dP * dQ.
     """
     if P.cols != Q.rows:
-        raise ValueError(
-            f"dimension mismatch: {P.rows}x{P.cols} times {Q.rows}x{Q.cols}"
-        )
-    prows = [_spanned(row) for row in P.entries]
-    qcols = [_spanned(col) for col in zip(*Q.entries)]
-    # the overlap [lo, hi) of the two spans, by comparisons rather than max/min calls
-    rows = [
-        [
-            Fraction(dot, pden * qden)
-            if (lo := plo if plo > qlo else qlo) < (hi := phi if phi < qhi else qhi)
-            and (dot := sum(map(mul, pnum[lo:hi], qnum[lo:hi])))
-            else ZERO
-            for qnum, qden, qlo, qhi in qcols
-        ]
-        for pnum, pden, plo, phi in prows
-    ]
-    return CoeffMatrix.from_rows(rows)
+        raise ValueError(f"dimension mismatch: {P.rows}x{P.cols} times {Q.rows}x{Q.cols}")
+    qcols = list(map(_spanned, zip(*Q.nums), zip(*Q.dens)))
+    qdens = [qden for _, qden, _, _ in qcols]
+    rows = []
+    for pnum, pden, plo, phi in map(_spanned, P.nums, P.dens):
+        # the overlap [lo, hi) of the two spans, by comparisons rather than max/min calls
+        dots = [sum(map(mul, pnum[lo:hi], qnum[lo:hi]))
+                if (lo := plo if plo > qlo else qlo) < (hi := phi if phi < qhi else qhi) else 0
+                for qnum, _, qlo, qhi in qcols]
+        rows.append(_reduced(0, dots, list(map(mul, repeat(pden), qdens))))
+    return CoeffMatrix._from_grids(*zip(*rows))
 
 
-def _scaled_to_int(vec: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators of vec over the lcm of its denominators, and that lcm."""
-    # `denominator` is a Python-level property: read it once per entry
-    dens = [x.denominator for x in vec]
+def _scaled(nums: tuple[int, ...], dens: tuple[int, ...]) -> tuple[list[int], int]:
+    """Integer numerators of a vector over the lcm of its denominators, and that lcm."""
     den = lcm(*dens)
-    return [x.numerator * (den // d) for x, d in zip(vec, dens)], den
+    if den == 1:
+        return list(nums), 1
+    return list(map(mul, nums, map(floordiv, repeat(den), dens))), den
 
 
-def _spanned(vec: tuple[Fraction, ...]) -> tuple[list[int], int, int, int]:
-    """`_scaled_to_int(vec)` and the span [lo, hi) of its nonzero numerators."""
-    nums, den = _scaled_to_int(vec)
+def _spanned(nums: tuple[int, ...], dens: tuple[int, ...]) -> tuple[list[int], int, int, int]:
+    """`_scaled(nums, dens)` and the span [lo, hi) of its nonzero numerators."""
     nonzero = bytes(map(bool, nums))
     hi = nonzero.rfind(1) + 1
-    return nums, den, nonzero.find(1) if hi else 0, hi
+    return *_scaled(nums, dens), nonzero.find(1) if hi else 0, hi
+
+
+def _reduced(j: int, nums: list[int], dens: list[int]) -> tuple[tuple[int, ...], ...]:
+    """(numerators, denominators) of j zeros, then of each nums[k] / dens[k] in lowest terms."""
+    # gcd(0, d) = |d| makes a zero 0/1; a negative denominator divides by -gcd
+    gs = list(map(gcd, nums, dens))
+    if min(dens) < 0:
+        gs = [-g if d < 0 else g for g, d in zip(gs, dens)]
+    return (0,) * j + tuple(map(floordiv, nums, gs)), (1,) * j + tuple(map(floordiv, dens, gs))
+
+
+def _from_columns(cols: list) -> CoeffMatrix:
+    """The lower-triangular matrix whose reduced columns are `cols`."""
+    nums, dens = zip(*cols)
+    return CoeffMatrix._from_grids(tuple(zip(*nums)), tuple(zip(*dens)))

@@ -15,7 +15,7 @@ import ezbasis.cli as cli
 from ezbasis import coeffs, numeval, relations
 from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.trilinalg import invert_forward
-from golden_values import BASIS_LATEX_M5, CLI_STDOUT
+from golden_values import BASIS_LATEX_M5, CLI_STDOUT, MATRIX_CLI_SHA256
 from reference import matrix_from_json
 from test_relations import _corrupt_row
 
@@ -567,6 +567,24 @@ class TestBenchmarkDigests:
         assert (code, hashlib.sha256(data).hexdigest(), len(data)) == (
             want["exit"], want["sha256"], want["bytes"]
         )
+
+
+class TestMatrixCommandDigests:
+    """`matrix` and `invert --oracle` stdout, byte for byte, at seven sizes."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex", "csv"])
+    @pytest.mark.parametrize("command", ["matrix", "invert --which a1 --oracle",
+                                         "invert --which a2 --oracle"])
+    def test_stdout_matches_the_recorded_digest(self, capsys, command, fmt):
+        head, *rest = command.split()
+        wrong = []
+        for n in (2, 3, 7, 12, 13, 20, 100):
+            argv = [head, "--n", str(n), *rest, "--format", fmt]
+            code, out, _ = run_cli(capsys, *argv)
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            if (code, digest) != (0, MATRIX_CLI_SHA256[" ".join(argv)]):
+                wrong.append(n)
+        assert wrong == []
 
 
 class TestPlumbing:

@@ -4,8 +4,9 @@ power-sum decomposition machinery."""
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -218,6 +219,73 @@ class TestCoeffMatrix:
         assert len(lines) == 6
         widths = {len(line) for line in lines}
         assert len(widths) == 1
+
+
+def assert_canonical(m: CoeffMatrix) -> None:
+    """The stored grids are tuples of int tuples in lowest terms, d > 0, zero as 0/1."""
+    assert type(m.nums) is tuple and type(m.dens) is tuple
+    assert len(m.nums) == len(m.dens) == m.rows
+    for nums, dens in zip(m.nums, m.dens):
+        assert type(nums) is tuple and type(dens) is tuple
+        assert len(nums) == len(dens) == m.cols
+        for n, d in zip(nums, dens):
+            assert type(n) is int and type(d) is int
+            # gcd(0, d) = d, so this also pins zero to 0/1
+            assert d > 0 and gcd(n, d) == 1
+
+
+class TestCanonicalForm:
+    def test_constructors_and_builders(self):
+        rng = random.Random(8080)
+        mixed = [[F(rng.randint(-40, 40), rng.randint(1, 30)) if rng.random() > 0.3
+                  else rng.choice([0, F(0), F(0, 7), -3, 12]) for _ in range(6)] for _ in range(5)]
+        a = build_matrix_A(41)
+        grids = [CoeffMatrix.from_rows(mixed), CoeffMatrix.identity(7), a, *split_A1_A2(a),
+                 build_matrix_A(2), CoeffMatrix.from_rows([[F(-6, 4), 0, F(9, -3)]])]
+        for m in grids:
+            assert_canonical(m)
+        assert grids[-1].nums == ((-3, 0, -3),) and grids[-1].dens == ((2, 1, 1),)
+
+    def test_equal_values_give_equal_matrices_and_hashes(self):
+        half = CoeffMatrix.from_rows([[F(2, 4)]])
+        assert half == CoeffMatrix.from_rows([[F(1, 2)]])
+        assert hash(half) == hash(CoeffMatrix.from_rows([[F(1, 2)]]))
+        ints = CoeffMatrix.from_rows([[1, 0], [-2, 3]])
+        assert ints == CoeffMatrix.from_rows([[F(1), F(0)], [F(-4, 2), F(3)]])
+        assert hash(ints) == hash(CoeffMatrix.from_rows([[F(1), F(0)], [F(-4, 2), F(3)]]))
+        assert half != CoeffMatrix.from_rows([[F(1, 3)]])
+
+    def test_entries_round_trip(self):
+        rng = random.Random(4242)
+        rows = tuple(
+            tuple(F(rng.randint(-99, 99), rng.randint(1, 50)) for _ in range(4)) for _ in range(3)
+        )
+        m = CoeffMatrix.from_rows(rows)
+        assert m.entries == rows
+        assert all(type(x) is F for row in m.entries for x in row)
+        assert m.entries is m.entries
+        assert CoeffMatrix.from_rows(m.entries) == m
+
+
+class TestInexactEntries:
+    @pytest.mark.parametrize(
+        "bad", [0.1, float("nan"), 1j, "1", Decimal("0.1")],
+        ids=["float", "nan", "complex", "str", "decimal"],
+    )
+    def test_rejected_with_its_position(self, bad):
+        with pytest.raises(TypeError, match=r"entry \(2, 1\) is a \w+, not an exact int"):
+            CoeffMatrix.from_rows([[1, 0], [bad, 1]])
+
+    def test_rejected_before_any_kernel(self):
+        with pytest.raises(TypeError, match=r"entry \(1, 1\) is a float"):
+            invert_forward(CoeffMatrix.from_rows([[0.1]]))
+        with pytest.raises(TypeError, match="float"):
+            CoeffMatrix(entries=((F(1), 2.0),))
+
+    def test_int_subclasses_are_stored_as_int(self):
+        m = CoeffMatrix.from_rows([[True, False]])
+        assert m.nums == ((1, 0),) and all(type(n) is int for n in m.nums[0])
+        assert m.to_text() == "1  0"
 
 
 # The one triangularity check, reached through every caller that runs it.

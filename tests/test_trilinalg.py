@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
-from ezbasis import trilinalg
+from ezbasis import cli, trilinalg
 from ezbasis.coeffs import ONE, ZERO, CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.errors import SingularMatrixError
 from ezbasis.trilinalg import invert_cofactor, invert_forward, mat_mul
 from golden_values import A1_INV_12, A2_INV_12
 from reference import _bareiss_det, det_Dij, row_sums
+from test_coeffs import assert_canonical
 
 
 def _random_lower_triangular(rng: random.Random, n: int) -> CoeffMatrix:
@@ -359,9 +363,10 @@ class TestMatMul:
         assert all(prod.entries[i][j] > 0 for i in range(7) for j in range(i + 2, 7))
 
     def test_spans(self):
-        assert trilinalg._spanned((F(0), F(1, 2), F(0), F(3), F(0))) == ([0, 1, 0, 6, 0], 2, 1, 4)
-        assert trilinalg._spanned((F(5, 3),)) == ([5], 3, 0, 1)
-        assert trilinalg._spanned((ZERO, ZERO)) == ([0, 0], 1, 0, 0)
+        # (numerators, denominators) of (0, 1/2, 0, 3, 0), (5/3,) and (0, 0)
+        assert trilinalg._spanned((0, 1, 0, 3, 0), (1, 2, 1, 1, 1)) == ([0, 1, 0, 6, 0], 2, 1, 4)
+        assert trilinalg._spanned((5,), (3,)) == ([5], 3, 0, 1)
+        assert trilinalg._spanned((0, 0), (1, 1)) == ([0, 0], 1, 0, 0)
 
     def test_products_that_cancel_to_zero(self):
         # nonzero factors whose dot products vanish
@@ -433,3 +438,86 @@ class TestRowSums:
     def test_plain_sums(self):
         m = CoeffMatrix.from_rows([[1, 2], [3, -4]])
         assert row_sums(m) == (F(3), F(-1))
+
+
+class TestIntegerGrids:
+    """The kernels' outputs are canonical grids, reduced by one shared reducer."""
+
+    def test_kernel_outputs_are_canonical(self):
+        rng = random.Random(90210)
+        a1, a2 = split_A1_A2(build_matrix_A(60))
+        cases = [a1, a2, CoeffMatrix.identity(4)]
+        cases += [_random_lower_triangular(rng, rng.randint(1, 14)) for _ in range(8)]
+        cases += [TestCofactorSigns._signed_integer_matrix(rng, 12) for _ in range(4)]
+        for m in cases:
+            fwd, cof = invert_forward(m), invert_cofactor(m)
+            for out in (fwd, cof, mat_mul(m, fwd), mat_mul(fwd, m)):
+                assert_canonical(out)
+            assert fwd.nums == cof.nums and fwd.dens == cof.dens
+        p, q = _random_dense(rng, 4, 6), _random_dense(rng, 6, 3)
+        assert_canonical(mat_mul(p, q))
+
+    def test_reducer_matches_fraction(self):
+        rng = random.Random(31337)
+        for _ in range(300):
+            size, lead = rng.randint(1, 12), rng.randint(0, 3)
+            nums = [rng.choice([0, rng.randint(-10**30, 10**30), rng.randint(-50, 50)])
+                    for _ in range(size)]
+            dens = [rng.choice([-1, 1])
+                    * rng.choice([1, rng.randint(1, 10**25), rng.randint(1, 60)])
+                    for _ in range(size)]
+            got_n, got_d = trilinalg._reduced(lead, nums, dens)
+            want = [F(0)] * lead + [F(n, d) for n, d in zip(nums, dens)]
+            assert list(got_n) == [x.numerator for x in want]
+            assert list(got_d) == [x.denominator for x in want]
+            assert type(got_n) is tuple and type(got_d) is tuple
+
+
+def _fraction_news(work) -> int:
+    """How many times `work()` enters Fraction.__new__, counted by a profile hook."""
+    code = F.__new__.__code__
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        work()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestNoFractionPerEntry:
+    """The matrix path builds no Fraction: a refactor that brings back
+    per-entry normalisation fails here before it shows in a timing."""
+
+    def test_the_counter_counts(self):
+        m = _random_lower_triangular(random.Random(5), 4)
+        assert _fraction_news(lambda: F(3, 6)) == 1
+        assert _fraction_news(lambda: invert_forward(m).entries) > 0
+
+    def test_invert_oracle_command(self):
+        def work():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.run(["invert", "--n", "40", "--which", "a2", "--oracle",
+                                "--format", "json"])
+            assert code == 0 and out.getvalue().startswith("{")
+
+        assert _fraction_news(work) == 0
+
+    def test_kernels_on_a_prebuilt_matrix(self):
+        rng = random.Random(2718)
+        m, dense = _random_lower_triangular(rng, 20), _random_dense(rng, 20, 7)
+
+        def work():
+            fwd = invert_forward(m)
+            assert invert_cofactor(m) == fwd
+            assert mat_mul(m, fwd) == CoeffMatrix.identity(20)
+            assert mat_mul(fwd, dense).rows == 20
+
+        assert _fraction_news(work) == 0
