@@ -132,8 +132,8 @@ class PoleTable:
 
 
 @cache
-def pole_table(n: int) -> PoleTable:
-    """Direct catalog of the poles of zeta(-n, s+n).
+def _catalog_ints(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The poles of zeta(-n, s+n) as (locations, reduced (numerator, denominator)s).
 
     s = 2 carries residue 1/(n+1).  s = 1 carries residue -1 for n = 0
     and -1/2 for every n >= 1 (for n = 0 both contributing terms of the
@@ -143,29 +143,31 @@ def pole_table(n: int) -> PoleTable:
     for odd n the candidate pole at the next even location is canceled
     by a trivial zero, hence the floor(n/2) count.  Since 2k-n < 0,
     binom(2k-n, 2k+1) = -C(n, 2k+1), and zeta(-2k-1) = -B_{2k+2}/(2k+2),
-    so each residue is evaluated as C(n, 2k+1) B_{2k+2} / (2k+2) from
-    `math.comb` and the Bernoulli numerator and denominator, one
-    Fraction per record; the annotation keeps the binom * zeta form.
-    The table is immutable and memoised per n, because the independence
-    witnesses ask for every smaller catalog again and again.
+    so each residue is C(n, 2k+1) B_{2k+2} / (2k+2), reduced by one gcd.
+    Reads only `bernoulli` and `math.comb`, and builds no Fraction.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    records = [
-        PoleRecord(location=2, residue=Fraction(1, n + 1), annotation=f"1/({n}+1)"),
-        PoleRecord(location=1, residue=Fraction(-1) if n == 0 else Fraction(-1, 2),
-                   annotation="2*zeta(0)" if n == 0 else "zeta(0)"),
-    ]
+    residues = [(1, n + 1), (-1, 1 if n == 0 else 2)]
     for k in range(n // 2):
         b = bernoulli(2 * k + 2)
-        residue = Fraction(comb(n, 2 * k + 1) * b.numerator, b.denominator * (2 * k + 2))
-        records.append(
-            PoleRecord(
-                location=-2 * k,
-                residue=residue,
-                annotation=f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})",
-            )
-        )
+        num, den = comb(n, 2 * k + 1) * b.numerator, b.denominator * (2 * k + 2)
+        g = gcd(num, den)
+        residues.append((num // g, den // g))
+    return (2, 1, *range(0, -2 * (n // 2), -2)), tuple(residues)
+
+
+@cache
+def pole_table(n: int) -> PoleTable:
+    """Direct catalog of the poles of zeta(-n, s+n): `_catalog_ints(n)` as records.
+
+    One Fraction per record; the annotation keeps the closed form of the
+    residue, binom(2k-n, 2k+1) * zeta(-2k-1) at s = -2k.  The table is
+    immutable and memoised per n.
+    """
+    notes = [f"1/({n}+1)", "2*zeta(0)" if n == 0 else "zeta(0)"]
+    notes += (f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})" for k in range(n // 2))
+    records = (PoleRecord(s, Fraction(*r), note) for s, r, note in zip(*_catalog_ints(n), notes))
     return PoleTable(n=n, records=tuple(records))
 
 
@@ -208,26 +210,37 @@ class ZetaShiftExpansion:
 
 
 @cache
-def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
-    """Expansion of zeta(-c, s+c) over shifted Riemann zetas.
+def _expansion_ints(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """zeta_shift_expansion(c).q as (least common denominator, nonzero (j, numerator)).
 
     q_j is the coefficient of n^(c+1-j) in the Faulhaber closed form of
     the inner power sum: summing S_c(n) * n^(-s-c) over n termwise
     turns the n^(c+1-j) piece into zeta(s+j-1).  For c >= 1 the closed
     form has zero constant term and j stops at c; for c = 0 the
-    constant -1 of S_0(n) = n - 1 contributes the j = 1 entry.  q is
-    built from the integer numerators of `_faulhaber_ints(c)`, which
-    has already checked the Faulhaber anchors, one Fraction per nonzero
-    entry; the zeros (about half, from the odd Bernoulli numbers) are
-    the shared `coeffs.ZERO`.  It does not go through the memo of
-    `_expansion_ints`, which only the collapse needs.  The result is
-    immutable and memoised per c.
+    constant -1 of S_0(n) = n - 1 contributes the j = 1 entry.  So the
+    numerators of `_faulhaber_ints(c)` are truncated, reduced by their
+    gcd with the denominator and the zeros left out.  The expansion, the
+    collapse and `residues_from_expansion` read this memo.
     """
     if c < 0:
         raise ValueError("c must be >= 0")
     den, nums = _faulhaber_ints(c)
     q = nums if c == 0 else nums[: c + 1]
-    return ZetaShiftExpansion(c=c, q=tuple(Fraction(x, den) if x else ZERO for x in q))
+    g = gcd(den, *q)
+    return den // g, tuple((j, x // g) for j, x in enumerate(q) if x)
+
+
+@cache
+def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
+    """Expansion of zeta(-c, s+c) over shifted Riemann zetas.
+
+    Built from `_expansion_ints(c)`, one Fraction per nonzero entry and
+    the shared `coeffs.ZERO` for each zero; immutable and memoised per c.
+    """
+    den, pairs = _expansion_ints(c)
+    q = dict(pairs)
+    return ZetaShiftExpansion(c=c, q=tuple(
+        Fraction(q[j], den) if j in q else ZERO for j in range(2 if c == 0 else c + 1)))
 
 
 def residues_from_expansion(c: int) -> PoleTable:
@@ -236,28 +249,29 @@ def residues_from_expansion(c: int) -> PoleTable:
     zeta(s+j-1) has its only pole at s = 2-j with residue 1, so each
     nonzero q_j yields the pole (2-j, q_j); odd Bernoulli zeros make
     every odd j >= 3 drop out, which is exactly the trivial-zero
-    cancellation of the direct catalog.  The rebuilt table must equal
-    `pole_table(c)` record by record; a mismatch raises
-    VerificationError.
+    cancellation of the direct catalog.  These poles must equal
+    `_catalog_ints(c)`, compared on integers with each q_j reduced by
+    one gcd; a mismatch raises VerificationError.  Only a match builds
+    the table, one Fraction per record.
     """
-    records = tuple(
-        PoleRecord(location=2 - j, residue=qj, annotation=f"q_{j}")
-        for j, qj in enumerate(zeta_shift_expansion(c).q) if qj
-    )
-    table = PoleTable(n=c, records=records)
-    direct = pole_table(c)
-    if table.locations() != direct.locations():
+    den, pairs = _expansion_ints(c)
+    locations = tuple(2 - j for j, _ in pairs)
+    residues = [(x // g, den // g) for _, x in pairs for g in (gcd(x, den),)]
+    direct_locations, direct = _catalog_ints(c)
+    if locations != direct_locations:
         raise VerificationError(
-            f"pole locations differ for c = {c}: expansion {table.locations()} "
-            f"vs direct {direct.locations()}"
+            f"pole locations differ for c = {c}: expansion {locations} "
+            f"vs direct {direct_locations}"
         )
-    for got, want in zip(table.records, direct.records):
-        if got.residue != want.residue:
+    for location, got, want in zip(locations, residues, direct):
+        if got != want:
+            got, want = (f"{p}/{q}" if q != 1 else str(p) for p, q in (got, want))
             raise VerificationError(
-                f"residue mismatch for c = {c} at s = {got.location}: "
-                f"expansion {got.residue} vs direct {want.residue}"
+                f"residue mismatch for c = {c} at s = {location}: "
+                f"expansion {got} vs direct {want}"
             )
-    return table
+    records = (PoleRecord(2 - j, Fraction(*r), f"q_{j}") for (j, _), r in zip(pairs, residues))
+    return PoleTable(n=c, records=tuple(records))
 
 
 @record
@@ -272,21 +286,6 @@ class ExactRelationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-@cache
-def _expansion_ints(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """zeta_shift_expansion(c).q as (least common denominator, nonzero (j, numerator)).
-
-    Truncates the Faulhaber numerators as `zeta_shift_expansion` does
-    and divides out their gcd with the denominator, without building
-    a `Fraction`; the anchors were checked by `_faulhaber_ints`.  The
-    zeros, about half since odd Bernoulli numbers vanish, are left out.
-    """
-    den, nums = _faulhaber_ints(c)
-    q = nums if c == 0 else nums[: c + 1]
-    g = gcd(den, *q)
-    return den // g, tuple((j, x // g) for j, x in enumerate(q) if x)
 
 
 def _collapse(terms: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
@@ -359,25 +358,20 @@ def independence_witness(m: int) -> PoleRecord:
     """The pole certifying zeta(-2m, s+2m) cannot be eliminated.
 
     Returns the pole of zeta(-2m, s+2m) at s = 2-2m and asserts that no
-    family member of smaller index has a pole there (their catalogs
-    stop strictly higher).  Since the locations 2-2m strictly decrease
-    in m, each witness is distinct.
+    family member of smaller index has a pole there (their locations in
+    `_catalog_ints` stop strictly higher).  Since the locations 2-2m
+    strictly decrease in m, each witness is distinct.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     location = 2 - 2 * m
-    table = pole_table(2 * m)
-    record = None
-    for r in table.records:
-        if r.location == location:
-            record = r
-            break
+    record = next((r for r in pole_table(2 * m).records if r.location == location), None)
     if record is None:
         raise VerificationError(
             f"zeta(-{2 * m},s+{2 * m}) lacks the expected pole at s = {location}"
         )
     for c in range(2 * m):
-        if pole_table(c).residue_at(location):
+        if location in _catalog_ints(c)[0]:
             raise VerificationError(
                 f"witness at s = {location} is not exclusive: "
                 f"{function_label(c)} shares it"

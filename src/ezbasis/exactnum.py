@@ -142,8 +142,11 @@ def _faulhaber_ints(c: int) -> tuple[int, list[int]]:
         raise ValueError("exponent must be >= 0")
     bernoulli(c)
     bden, bnums = _bernoulli_ints()
-    den = bden * (c + 1)
-    nums = [comb(c + 1, i) * bnums[i] for i in range(c + 1)]
+    den, nums, b = bden * (c + 1), [], 1
+    for i, x in enumerate(bnums[: c + 1]):
+        # b = C(c+1, i) by the multiplicative recurrence; B_i = 0 skips the product
+        nums.append(b * x if x else 0)
+        b = b * (c + 1 - i) // (i + 1)
     nums.append(-den if c == 0 else 0)
     if nums[0] * (c + 1) != den:
         raise ValueError("leading coefficient must be 1/(c+1)")

@@ -3,14 +3,16 @@
 Each function recomputes by its own arithmetic something that the
 library computes another way: the minors of the cofactor inversion by
 fraction-free elimination, the pole residues from generalized binomials
-and zeta values, the Tornheim convolution term by term, and a matrix
-from the `--format json` text.  From `ezbasis` this module imports only
+and zeta values, the pole catalog and its check against an expansion
+with one `Fraction` per record, the Tornheim convolution term by term,
+and a matrix from the `--format json` text.  From `ezbasis` this module imports only
 the inputs those routes need, so a route can never end up calling the
 kernel it checks (`test_package.py` guards that).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, lcm
 
@@ -104,6 +106,53 @@ def gen_binomial(x: Fraction | int, k: int) -> Fraction:
     for i in range(2, k + 1):
         den *= i
     return num / den
+
+
+def pole_table(n: int) -> tuple[tuple[int, Fraction, str], ...]:
+    """The poles of zeta(-n, s+n) as (location, residue, annotation) records.
+
+    The construction that `analytic.pole_table` used before it read an
+    integer catalog: one `Fraction` per record, C(n, 2k+1) B_{2k+2} /
+    (2k+2) at s = -2k from `math.comb` and the Bernoulli numerator and
+    denominator.  Each record is a tuple in the field order of
+    `PoleRecord`, which this module does not import.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    records = [
+        (2, Fraction(1, n + 1), f"1/({n}+1)"),
+        (1, Fraction(-1) if n == 0 else Fraction(-1, 2), "2*zeta(0)" if n == 0 else "zeta(0)"),
+    ]
+    for k in range(n // 2):
+        b = bernoulli(2 * k + 2)
+        residue = Fraction(comb(n, 2 * k + 1) * b.numerator, b.denominator * (2 * k + 2))
+        records.append((-2 * k, residue, f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})"))
+    return tuple(records)
+
+
+def residues_from_expansion(c: int, q: Sequence[Fraction]) -> tuple[tuple[int, Fraction, str], ...]:
+    """The poles that the expansion q of zeta(-c, s+c) implies, checked against `pole_table(c)`.
+
+    Each nonzero q_j gives the record (2-j, q_j, "q_j"), compared with
+    the catalog record by record as `Fraction`s.  A mismatch raises
+    AssertionError with the text of the library's VerificationError.
+    """
+    records = tuple((2 - j, qj, f"q_{j}") for j, qj in enumerate(q) if qj)
+    direct = pole_table(c)
+    locations = tuple(r[0] for r in records)
+    direct_locations = tuple(r[0] for r in direct)
+    if locations != direct_locations:
+        raise AssertionError(
+            f"pole locations differ for c = {c}: expansion {locations} "
+            f"vs direct {direct_locations}"
+        )
+    for got, want in zip(records, direct):
+        if got[1] != want[1]:
+            raise AssertionError(
+                f"residue mismatch for c = {c} at s = {got[0]}: "
+                f"expansion {got[1]} vs direct {want[1]}"
+            )
+    return records
 
 
 def tornheim_inner_sum(a: int, N: int) -> int:

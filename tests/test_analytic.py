@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import inspect
 from fractions import Fraction as F
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -31,7 +31,20 @@ from ezbasis.coeffs import ZERO
 from ezbasis.errors import VerificationError
 from ezbasis.exactnum import faulhaber
 from ezbasis.relations import RelationVector, basis_representation, relation_family
+import reference
 from reference import gen_binomial, zeta_neg
+from test_trilinalg import _fraction_news
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty catalog and expansion memos before and after a test that patches their inputs."""
+    memos = (analytic._catalog_ints, pole_table, analytic._expansion_ints, zeta_shift_expansion)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
 
 class TestPoleTable:
@@ -104,6 +117,32 @@ class TestPoleTable:
         monkeypatch.setattr(exactnum, "_faulhaber_ints", refuse)
         monkeypatch.setattr(exactnum, "faulhaber", refuse)
         assert [pole_table.__wrapped__(n) for n in range(41)] == reference
+
+    def test_expansion_reads_no_catalog(self, monkeypatch):
+        reference_q = [zeta_shift_expansion(c) for c in range(41)]
+        reference_ints = [analytic._expansion_ints(c) for c in range(41)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the expansion must not read a catalog")
+
+        for name in ("_catalog_ints", "pole_table", "comb"):
+            monkeypatch.setattr(analytic, name, refuse)
+        monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)
+        assert [analytic._expansion_ints(c) for c in range(41)] == reference_ints
+        assert [zeta_shift_expansion.__wrapped__(c) for c in range(41)] == reference_q
+
+    def test_equals_the_fraction_per_record_construction(self):
+        for n in range(301):
+            records = pole_table(n).records
+            # record equality compares the annotations too
+            assert records == tuple(PoleRecord(*r) for r in reference.pole_table(n))
+            assert all(type(r.residue) is F for r in records)
+
+    def test_integer_catalog_is_reduced(self):
+        for n in range(121):
+            locations, residues = analytic._catalog_ints(n)
+            assert locations == pole_table(n).locations()
+            assert all(q > 0 and gcd(p, q) == 1 for p, q in residues)
 
     def test_record_keeps_fractions_and_converts_others(self):
         x = F(1, 6)
@@ -265,6 +304,85 @@ class TestResiduesFromExpansion:
         assert t.locations() == (2, 1, 0, -2)
         assert t.residue_at(-2) == gen_binomial(-2, 3) * zeta_neg(3)
 
+    def test_equals_the_fraction_per_record_construction(self):
+        for c in range(301):
+            table = residues_from_expansion(c)
+            expected = reference.residues_from_expansion(c, zeta_shift_expansion(c).q)
+            assert table.n == c
+            assert table.records == tuple(PoleRecord(*r) for r in expected)
+
+    def test_one_fraction_per_record(self):
+        for c in range(61):
+            # the first call warms the integer producers
+            records = residues_from_expansion(c).records
+            assert _fraction_news(lambda: residues_from_expansion(c)) == len(records)
+
+    @staticmethod
+    def _fails_with(c, message):
+        # the producers are warm, so any Fraction would come from the comparison
+        analytic._catalog_ints(c)
+        analytic._expansion_ints(c)
+
+        def work():
+            with pytest.raises(VerificationError) as info:
+                residues_from_expansion(c)
+            assert str(info.value) == message
+
+        assert _fraction_news(work) == 0
+
+    def test_corrupted_catalog_residue(self, monkeypatch, fresh_memos):
+        # C(6, 3) = 21 in place of 20 at s = -2: 21 * (-1/30) / 4
+        monkeypatch.setattr(analytic, "comb", lambda n, k: comb(n, k) + ((n, k) == (6, 3)))
+        self._fails_with(6, "residue mismatch for c = 6 at s = -2: expansion -1/6 vs direct -7/40")
+        residues_from_expansion(5)
+
+    @pytest.mark.parametrize(
+        "c, j, delta, message",
+        [
+            # q_2 of S_6 is 1/2; one more
+            (6, 2, 1, "residue mismatch for c = 6 at s = 0: expansion 3/2 vs direct 1/2"),
+            # c = 0 has integer residues, worded without a denominator
+            (0, 1, -1, "residue mismatch for c = 0 at s = 1: expansion -2 vs direct -1"),
+            # a nonzero odd Bernoulli slot adds a pole that no formula gives
+            (6, 3, 1, "pole locations differ for c = 6: expansion (2, 1, 0, -1, -2, -4) "
+                      "vs direct (2, 1, 0, -2, -4)"),
+        ],
+        ids=["fraction", "integer", "added"],
+    )
+    def test_corrupted_expansion_numerator(self, monkeypatch, fresh_memos, c, j, delta, message):
+        faulhaber_ints = exactnum._faulhaber_ints
+
+        def corrupted(k):
+            den, nums = faulhaber_ints(k)
+            if k == c:
+                nums = list(nums)
+                nums[j] += delta * den
+            return den, nums
+
+        monkeypatch.setattr(analytic, "_faulhaber_ints", corrupted)
+        self._fails_with(c, message)
+        residues_from_expansion(c + 1)
+
+    @pytest.mark.parametrize(
+        "edit, direct",
+        [
+            (lambda locations, residues: (locations[:-1], residues[:-1]), "(2, 1, 0, -2)"),
+            # as many poles as the expansion's, one of them elsewhere
+            (lambda locations, residues: (locations[:-1] + (-6,), residues), "(2, 1, 0, -2, -6)"),
+        ],
+        ids=["dropped", "moved"],
+    )
+    def test_corrupted_catalog_location(self, monkeypatch, fresh_memos, edit, direct):
+        catalog_ints = analytic._catalog_ints
+
+        def corrupted(n):
+            return edit(*catalog_ints(n)) if n == 6 else catalog_ints(n)
+
+        monkeypatch.setattr(analytic, "_catalog_ints", corrupted)
+        self._fails_with(6, "pole locations differ for c = 6: "
+                            f"expansion (2, 1, 0, -2, -4) vs direct {direct}")
+        residues_from_expansion(7)
+
     @pytest.mark.parametrize("build", [zeta_shift_expansion, residues_from_expansion])
     def test_negative_c_names_c(self, build):
         with pytest.raises(ValueError, match=r"^c must be >= 0$"):
@@ -423,6 +541,21 @@ class TestIndependenceWitness:
     def test_m0_rejected(self):
         with pytest.raises(ValueError):
             independence_witness(0)
+
+    def test_shared_location_below_is_caught(self, monkeypatch, fresh_memos):
+        catalog_ints = analytic._catalog_ints
+
+        def shared(n):
+            locations, residues = catalog_ints(n)
+            if n == 3:
+                return locations + (-2,), residues + ((1, 1),)
+            return locations, residues
+
+        monkeypatch.setattr(analytic, "_catalog_ints", shared)
+        assert independence_witness(1).location == 0
+        message = r"^witness at s = -2 is not exclusive: zeta\(-3,s\+3\) shares it$"
+        with pytest.raises(VerificationError, match=message):
+            independence_witness(2)
 
     def test_witness_absent_below(self):
         # spot-check the exclusivity the function asserts internally

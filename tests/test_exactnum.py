@@ -268,6 +268,25 @@ class TestIntegerKernels:
                 assert type(got) is F
                 assert got == _horner_reference(ref, n)
 
+    def test_faulhaber_ints_match_the_comb_per_entry_construction(self):
+        # the construction the multiplicative binomial row replaced
+        bernoulli(300)
+        bden, bnums = exactnum._bernoulli_ints()
+        for c in range(301):
+            den = bden * (c + 1)
+            nums = [comb(c + 1, i) * bnums[i] for i in range(c + 1)]
+            nums.append(-den if c == 0 else 0)
+            assert exactnum._faulhaber_ints(c) == (den, nums)
+
+    def test_faulhaber_ints_call_no_comb(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Faulhaber row must not call math.comb per entry")
+
+        bernoulli(60)
+        expected = [exactnum._faulhaber_ints(c) for c in range(61)]
+        monkeypatch.setattr(exactnum, "comb", refuse)
+        assert [exactnum._faulhaber_ints(c) for c in range(61)] == expected
+
     @pytest.mark.parametrize(
         "index, message",
         [(0, "leading coefficient"), (1, "n = 1"), (6, "n = 1"), (7, "n = 1")],
