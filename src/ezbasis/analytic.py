@@ -35,7 +35,7 @@ from math import comb, gcd, lcm
 from ._record import record
 from .coeffs import ZERO
 from .errors import VerificationError
-from .exactnum import _faulhaber_ints, bernoulli, rat_to_str
+from .exactnum import _faulhaber_ints, _ratio_str, bernoulli, rat_to_str
 from .relations import RelationVector, _family_terms, function_label
 
 S_EQ_2 = "s_eq_2"
@@ -157,16 +157,19 @@ def _catalog_ints(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
     return (2, 1, *range(0, -2 * (n // 2), -2)), tuple(residues)
 
 
+def _note(n: int, k: int) -> str:
+    return f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})"
+
+
 @cache
 def pole_table(n: int) -> PoleTable:
     """Direct catalog of the poles of zeta(-n, s+n): `_catalog_ints(n)` as records.
 
-    One Fraction per record; the annotation keeps the closed form of the
-    residue, binom(2k-n, 2k+1) * zeta(-2k-1) at s = -2k.  The table is
-    immutable and memoised per n.
+    One Fraction per record; the annotation keeps the closed form of each
+    residue, `_note(n, k)` at s = -2k.  Immutable and memoised per n.
     """
     notes = [f"1/({n}+1)", "2*zeta(0)" if n == 0 else "zeta(0)"]
-    notes += (f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})" for k in range(n // 2))
+    notes += (_note(n, k) for k in range(n // 2))
     records = (PoleRecord(s, Fraction(*r), note) for s, r, note in zip(*_catalog_ints(n), notes))
     return PoleTable(n=n, records=tuple(records))
 
@@ -230,12 +233,11 @@ def _expansion_ints(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return den // g, tuple((j, x // g) for j, x in enumerate(q) if x)
 
 
-@cache
 def zeta_shift_expansion(c: int) -> ZetaShiftExpansion:
     """Expansion of zeta(-c, s+c) over shifted Riemann zetas.
 
-    Built from `_expansion_ints(c)`, one Fraction per nonzero entry and
-    the shared `coeffs.ZERO` for each zero; immutable and memoised per c.
+    Built from the memo `_expansion_ints(c)`, one Fraction per nonzero
+    entry and the shared `coeffs.ZERO` for each zero.
     """
     den, pairs = _expansion_ints(c)
     q = dict(pairs)
@@ -265,10 +267,9 @@ def residues_from_expansion(c: int) -> PoleTable:
         )
     for location, got, want in zip(locations, residues, direct):
         if got != want:
-            got, want = (f"{p}/{q}" if q != 1 else str(p) for p, q in (got, want))
             raise VerificationError(
                 f"residue mismatch for c = {c} at s = {location}: "
-                f"expansion {got} vs direct {want}"
+                f"expansion {_ratio_str(*got)} vs direct {_ratio_str(*want)}"
             )
     records = (PoleRecord(2 - j, Fraction(*r), f"q_{j}") for (j, _), r in zip(pairs, residues))
     return PoleTable(n=c, records=tuple(records))
@@ -357,16 +358,16 @@ def verify_relations_exact(N: int) -> ExactRelationReport:
 def independence_witness(m: int) -> PoleRecord:
     """The pole certifying zeta(-2m, s+2m) cannot be eliminated.
 
-    Returns the pole of zeta(-2m, s+2m) at s = 2-2m and asserts that no
-    family member of smaller index has a pole there (their locations in
-    `_catalog_ints` stop strictly higher).  Since the locations 2-2m
-    strictly decrease in m, each witness is distinct.
+    Returns the record `pole_table(2m)` ends with, the pole at s = 2-2m,
+    built from `_catalog_ints` alone, and asserts that no smaller member
+    has a pole there (their locations stop strictly higher).  Since the
+    locations 2-2m strictly decrease in m, each witness is distinct.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     location = 2 - 2 * m
-    record = next((r for r in pole_table(2 * m).records if r.location == location), None)
-    if record is None:
+    locations, residues = _catalog_ints(2 * m)
+    if locations[-1] != location:
         raise VerificationError(
             f"zeta(-{2 * m},s+{2 * m}) lacks the expected pole at s = {location}"
         )
@@ -376,4 +377,4 @@ def independence_witness(m: int) -> PoleRecord:
                 f"witness at s = {location} is not exclusive: "
                 f"{function_label(c)} shares it"
             )
-    return record
+    return PoleRecord(location, Fraction(*residues[-1]), _note(2 * m, m - 1))

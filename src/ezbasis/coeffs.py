@@ -29,6 +29,7 @@ from operator import attrgetter, sub
 
 from ._record import record
 from .errors import SingularMatrixError
+from .exactnum import _ratio_str
 
 # shared entries: a grid that reuses these compares them by identity
 ZERO = Fraction(0)
@@ -117,8 +118,7 @@ class CoeffMatrix:
 
     def cells(self) -> list[list[str]]:
         """Every entry as `rat_to_str` writes it: "n", or "n/d" when d > 1."""
-        return [[str(n) if d == 1 else f"{n}/{d}" for n, d in zip(*rows)]
-                for rows in zip(self.nums, self.dens)]
+        return [list(map(_ratio_str, *rows)) for rows in zip(self.nums, self.dens)]
 
     def to_json_dict(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": self.cells()}

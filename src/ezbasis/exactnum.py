@@ -20,13 +20,15 @@ from operator import add, mul
 from ._record import record
 
 
+def _ratio_str(p: int, q: int) -> str:
+    """p/q in lowest terms with q > 0 as text: "p" when q == 1, else "p/q"."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def rat_to_str(x: Fraction) -> str:
     """Canonical string form: "p/q" in lowest terms, or "p" when q == 1."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    x = x if type(x) is Fraction else Fraction(x)
+    return _ratio_str(x.numerator, x.denominator)
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:

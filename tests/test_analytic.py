@@ -39,7 +39,7 @@ from test_trilinalg import _fraction_news
 @pytest.fixture
 def fresh_memos():
     """Empty catalog and expansion memos before and after a test that patches their inputs."""
-    memos = (analytic._catalog_ints, pole_table, analytic._expansion_ints, zeta_shift_expansion)
+    memos = (analytic._catalog_ints, pole_table, analytic._expansion_ints)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -118,6 +118,25 @@ class TestPoleTable:
         monkeypatch.setattr(exactnum, "faulhaber", refuse)
         assert [pole_table.__wrapped__(n) for n in range(41)] == reference
 
+    def test_catalog_producer_reads_no_expansion(self, monkeypatch):
+        # the memo of _catalog_ints is warm here, so the producer and the
+        # records are recomputed from it while the expansion side refuses
+        ints = [analytic._catalog_ints(n) for n in range(41)]
+        tables = [pole_table(n) for n in range(41)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct catalog must not read an expansion")
+
+        for name in ("_faulhaber_ints", "_expansion_ints", "zeta_shift_expansion"):
+            monkeypatch.setattr(analytic, name, refuse)
+        monkeypatch.setattr(exactnum, "_faulhaber_ints", refuse)
+        monkeypatch.setattr(exactnum, "faulhaber", refuse)
+        assert [analytic._catalog_ints.__wrapped__(n) for n in range(41)] == ints
+        monkeypatch.setattr(analytic, "_catalog_ints", analytic._catalog_ints.__wrapped__)
+        assert [pole_table.__wrapped__(n) for n in range(41)] == tables
+        witnesses = [independence_witness(m) for m in range(1, 21)]
+        assert witnesses == [t.records[-1] for t in tables[2::2]]
+
     def test_expansion_reads_no_catalog(self, monkeypatch):
         reference_q = [zeta_shift_expansion(c) for c in range(41)]
         reference_ints = [analytic._expansion_ints(c) for c in range(41)]
@@ -129,7 +148,7 @@ class TestPoleTable:
             monkeypatch.setattr(analytic, name, refuse)
         monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)
         assert [analytic._expansion_ints(c) for c in range(41)] == reference_ints
-        assert [zeta_shift_expansion.__wrapped__(c) for c in range(41)] == reference_q
+        assert [zeta_shift_expansion(c) for c in range(41)] == reference_q
 
     def test_equals_the_fraction_per_record_construction(self):
         for n in range(301):
@@ -476,7 +495,6 @@ class TestCollapseAgainstFractionLoop:
             monkeypatch.setattr(relations, name, refuse)
         monkeypatch.setattr(analytic, "_family_terms", refuse)
         monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)
-        zeta_shift_expansion.cache_clear()
         for rel in exact:
             assert collapse_relation(rel) == {}
         assert [collapse_relation(rel) for rel in corrupted] == expected
@@ -537,6 +555,18 @@ class TestIndependenceWitness:
         locs = [independence_witness(m).location for m in range(1, 21)]
         assert len(set(locs)) == len(locs)
         assert locs == sorted(locs, reverse=True)
+
+    def test_is_the_last_record_of_the_catalog(self, monkeypatch):
+        tables = [pole_table(2 * m) for m in range(1, 61)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness must not build a pole table")
+
+        monkeypatch.setattr(analytic, "pole_table", refuse)
+        # record equality compares the annotations too
+        assert [independence_witness(m) for m in range(1, 61)] == [t.records[-1] for t in tables]
+        # on a warm catalog, the one Fraction of the returned record
+        assert all(_fraction_news(lambda: independence_witness(m)) == 1 for m in range(1, 61))
 
     def test_m0_rejected(self):
         with pytest.raises(ValueError):
