@@ -35,13 +35,8 @@ from math import comb, gcd, lcm
 from ._record import record
 from .coeffs import ZERO
 from .errors import VerificationError
-from .exactnum import _faulhaber_ints, _ratio_str, bernoulli, rat_to_str
+from .exactnum import _faulhaber_ints, _fraction, _ratio_str, bernoulli
 from .relations import RelationVector, _family_terms, function_label
-
-S_EQ_2 = "s_eq_2"
-S_EQ_1 = "s_eq_1"
-S_EQ_MINUS_2K = "s_eq_minus_2k"
-
 
 @record
 class PoleRecord:
@@ -59,16 +54,11 @@ class PoleRecord:
 
     def __post_init__(self) -> None:
         if type(self.residue) is not Fraction:
-            object.__setattr__(self, "residue", Fraction(self.residue))
+            object.__setattr__(self, "residue", _fraction(self.residue, "residue"))
         if not self.residue:
             raise ValueError("a pole record must carry a nonzero residue")
         if self.location not in (2, 1) and (self.location > 0 or self.location % 2):
             raise ValueError(f"no residue formula gives a pole at s = {self.location}")
-
-    @property
-    def source_label(self) -> str:
-        """Which residue formula gives the pole, read from its location."""
-        return {2: S_EQ_2, 1: S_EQ_1}.get(self.location, S_EQ_MINUS_2K)
 
 
 @record
@@ -104,32 +94,6 @@ class PoleTable:
                 return r.residue
         return ZERO
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "poles": [
-                {"s": r.location, "residue": rat_to_str(r.residue)} for r in self.records
-            ],
-        }
-
-    def to_latex(self) -> str:
-        """Four-column `at & s=... & residue & value` display table."""
-        lines = ["\\begin{array}{cccc}"]
-        for r in self.records:
-            lines.append(
-                f" \\text{{at}} & s={r.location}, & \\text{{residue}} & "
-                f"{rat_to_str(r.residue)}, \\\\"
-            )
-        lines.append("\\end{array}")
-        return "\n".join(lines)
-
-    def to_text(self) -> str:
-        lines = [f"poles of {function_label(self.n)}:"]
-        for r in self.records:
-            note = f"  [{r.annotation}]" if r.annotation else ""
-            lines.append(f"  s = {r.location:>3}   residue {rat_to_str(r.residue)}{note}")
-        return "\n".join(lines)
-
 
 @cache
 def _catalog_ints(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -161,12 +125,11 @@ def _note(n: int, k: int) -> str:
     return f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})"
 
 
-@cache
 def pole_table(n: int) -> PoleTable:
     """Direct catalog of the poles of zeta(-n, s+n): `_catalog_ints(n)` as records.
 
     One Fraction per record; the annotation keeps the closed form of each
-    residue, `_note(n, k)` at s = -2k.  Immutable and memoised per n.
+    residue, `_note(n, k)` at s = -2k.
     """
     notes = [f"1/({n}+1)", "2*zeta(0)" if n == 0 else "zeta(0)"]
     notes += (_note(n, k) for k in range(n // 2))
@@ -188,9 +151,7 @@ class ZetaShiftExpansion:
     q: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "q", tuple(x if type(x) is Fraction else Fraction(x) for x in self.q)
-        )
+        object.__setattr__(self, "q", tuple(_fraction(x, "q_{}", j) for j, x in enumerate(self.q)))
         if self.c < 0:
             raise ValueError("c must be >= 0")
         expected_len = 2 if self.c == 0 else self.c + 1
@@ -203,13 +164,6 @@ class ZetaShiftExpansion:
                 raise ValueError("q must be (1, -1) for c = 0")
         elif self.q[1] != Fraction(-1, 2):
             raise ValueError("q_1 must be -1/2 for c >= 1")
-
-    def term_label(self, j: int) -> str:
-        arg = {0: "s-1", 1: "s"}.get(j, f"s+{j - 1}")
-        return f"zeta({arg})"
-
-    def to_json_dict(self) -> dict:
-        return {"c": self.c, "q": [rat_to_str(x) for x in self.q]}
 
 
 @cache

@@ -2,8 +2,10 @@
 
 Each subcommand wraps one library operation and shares the same four
 output formats (text, json, latex, csv) where they make sense; verify
-supports text and json.  Exit codes: 0 success or verification pass,
-1 verification failure, 2 usage, precondition or output-file error.
+supports text and json.  This is the one module that renders: each
+command writes every format from the fields of the library's records.
+Exit codes: 0 success or verification pass, 1 verification failure,
+2 usage, precondition or output-file error.
 Each handler reads the parsed argparse namespace directly, so every
 default, and every ceiling on a single size option, is stated once, in
 the parser; a size above its ceiling exits 2 before any work starts.
@@ -19,8 +21,8 @@ import sys
 # every trilinalg.* per-layer metric
 from . import analytic, coeffs, relations, trilinalg
 from .errors import VerificationError
-from .exactnum import rat_to_str
-from .relations import function_label, render_combination
+from .exactnum import _ratio_str, rat_to_str
+from .relations import function_label
 
 _FORMATS = ("text", "json", "latex", "csv")
 # numeric verification sums about 1.5 N series of `cutoff` terms each;
@@ -168,19 +170,57 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _combination(pairs, latex: bool) -> str:
+    """A signed sum of (plain label, weight) pairs: 3/2 zeta(...) or 3 \\zeta(...)/2.
+
+    Unit coefficients are suppressed and zero weights skipped; an
+    all-zero combination is "0".
+    """
+    parts: list[str] = []
+    for label, w in pairs:
+        if w == 0:
+            continue
+        mag = abs(w)
+        if latex:
+            num = "" if mag.numerator == 1 else f"{mag.numerator} "
+            den = "" if mag.denominator == 1 else f"/{mag.denominator}"
+            term = f"{num}\\{label}{den}"
+        else:
+            coef = "" if mag == 1 else f"{rat_to_str(mag)} "
+            term = f"{coef}{label}"
+        if not parts:
+            parts.append(term if w > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if w > 0 else f"- {term}")
+    return " ".join(parts) if parts else "0"
+
+
+def _equation(lhs: str, pairs, latex: bool) -> str:
+    return ("\\" if latex else "") + f"{lhs} = " + _combination(pairs, latex)
+
+
+def _shift_label(j: int) -> str:
+    """Display name of zeta(s+j-1), coordinate j of a shift expansion."""
+    return "zeta(s-1)" if j == 0 else "zeta(s)" if j == 1 else f"zeta(s+{j - 1})"
+
+
 def _matrix_output(M: coeffs.CoeffMatrix, fmt: str) -> str:
+    # every entry as `rat_to_str` writes it, read off the integer grids
+    cells = [list(map(_ratio_str, *rows)) for rows in zip(M.nums, M.dens)]
     if fmt == "json":
-        return _json_text(M.to_json_dict())
+        return _json_text({"rows": M.rows, "cols": M.cols, "entries": cells})
     if fmt == "latex":
-        return M.to_latex()
+        lines = [" " + " & ".join(row) + " \\\\" for row in cells]
+        return "\n".join(["\\begin{pmatrix}", *lines, "\\end{pmatrix}"])
     if fmt == "csv":
         rows = [
             [c, d, cell]
-            for c, row in enumerate(M.cells(), start=1)
+            for c, row in enumerate(cells, start=1)
             for d, cell in enumerate(row, start=1)
         ]
         return _csv_text(["c", "d", "value"], rows)
-    return M.to_text()
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return "\n".join("  ".join(map(str.rjust, row, widths)) for row in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -223,57 +263,53 @@ def _cmd_relations(ns: argparse.Namespace) -> tuple[str, int]:
             for p, w in enumerate(rel.folded_coefficients())
         ]
         return _csv_text(["relation", "function", "coeff"], rows), 0
-    if ns.fmt == "latex":
-        lines = [
-            render_combination(zip(labels, rel.folded_coefficients()), latex=True)
-            + " = 0 \\\\"
-            for rel in rels
-        ]
-        return "\n".join(lines), 0
-    lines = [
-        f"r{idx}: " + render_combination(zip(labels, rel.folded_coefficients())) + " = 0"
-        for idx, rel in enumerate(rels, start=1)
-    ]
-    return "\n".join(lines), 0
+    latex = ns.fmt == "latex"
+    sums = [_combination(zip(labels, rel.folded_coefficients()), latex) for rel in rels]
+    if latex:
+        return "\n".join(f"{line} = 0 \\\\" for line in sums), 0
+    return "\n".join(f"r{idx}: {line} = 0" for idx, line in enumerate(sums, start=1)), 0
 
 
 def _cmd_basis(ns: argparse.Namespace) -> tuple[str, int]:
     rep = relations.basis_representation(ns.m)
+    target = function_label(2 * rep.m + 1)
     if ns.fmt == "json":
-        return _json_text(rep.to_json_dict()), 0
-    if ns.fmt == "latex":
-        return rep.to_latex(), 0
+        gamma = {str(2 * k): rat_to_str(g) for k, g in enumerate(rep.gamma)}
+        return _json_text({"target": target, "coeffs": gamma}), 0
     if ns.fmt == "csv":
-        rows = [
-            [rep.target_label, 2 * k, rat_to_str(g)] for k, g in enumerate(rep.gamma)
-        ]
+        rows = [[target, 2 * k, rat_to_str(g)] for k, g in enumerate(rep.gamma)]
         return _csv_text(["target", "basis_index", "coeff"], rows), 0
-    return rep.to_text(), 0
+    pairs = [(function_label(2 * k), rep.gamma[k]) for k in range(rep.m, -1, -1)]
+    return _equation(target, pairs, latex=ns.fmt == "latex"), 0
 
 
 def _cmd_poles(ns: argparse.Namespace) -> tuple[str, int]:
     table = analytic.pole_table(ns.n)
+    poles = [(r.location, rat_to_str(r.residue), r.annotation) for r in table.records]
     if ns.fmt == "json":
-        return _json_text(table.to_json_dict()), 0
+        obj = {"n": table.n, "poles": [{"s": s, "residue": res} for s, res, _ in poles]}
+        return _json_text(obj), 0
     if ns.fmt == "latex":
-        return table.to_latex(), 0
+        lines = [f" \\text{{at}} & s={s}, & \\text{{residue}} & {res}, \\\\"
+                 for s, res, _ in poles]
+        return "\n".join(["\\begin{array}{cccc}", *lines, "\\end{array}"]), 0
     if ns.fmt == "csv":
-        rows = [[r.location, rat_to_str(r.residue)] for r in table.records]
-        return _csv_text(["s", "residue"], rows), 0
-    return table.to_text(), 0
+        return _csv_text(["s", "residue"], [[s, res] for s, res, _ in poles]), 0
+    lines = [f"poles of {function_label(table.n)}:"]
+    for s, res, note in poles:
+        lines.append(f"  s = {s:>3}   residue {res}" + (f"  [{note}]" if note else ""))
+    return "\n".join(lines), 0
 
 
 def _cmd_expand(ns: argparse.Namespace) -> tuple[str, int]:
     exp = analytic.zeta_shift_expansion(ns.c)
     if ns.fmt == "json":
-        return _json_text(exp.to_json_dict()), 0
+        return _json_text({"c": exp.c, "q": [rat_to_str(x) for x in exp.q]}), 0
     if ns.fmt == "csv":
         rows = [[j, rat_to_str(qj)] for j, qj in enumerate(exp.q)]
         return _csv_text(["j", "coeff"], rows), 0
-    latex = ns.fmt == "latex"
-    lhs = ("\\" if latex else "") + function_label(ns.c)
-    pairs = [(exp.term_label(j), qj) for j, qj in enumerate(exp.q)]
-    return f"{lhs} = " + render_combination(pairs, latex=latex), 0
+    pairs = [(_shift_label(j), qj) for j, qj in enumerate(exp.q)]
+    return _equation(function_label(exp.c), pairs, latex=ns.fmt == "latex"), 0
 
 
 def _verify_exact(n: int) -> tuple[list[str], dict, bool]:
@@ -312,7 +348,18 @@ def _verify_numeric(ns: argparse.Namespace) -> tuple[list[str], dict, bool]:
     lines.append(
         f"max residual {report.max_residual:.3e} (tol {report.tol:g}): {verdict}"
     )
-    return lines, report.to_json_dict(), report.passed
+    obj = {
+        "n": report.n,
+        "s": [report.s.real, report.s.imag],
+        "cutoff": report.cutoff,
+        "tol": report.tol,
+        "max_residual": report.max_residual,
+        "passed": report.passed,
+        "checks": [
+            {"name": c.name, "residual": c.residual, "bound": c.bound} for c in report.checks
+        ],
+    }
+    return lines, obj, report.passed
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:

@@ -29,7 +29,7 @@ from operator import attrgetter, sub
 
 from ._record import record
 from .errors import SingularMatrixError
-from .exactnum import _ratio_str
+from .exactnum import _fraction
 
 # shared entries: a grid that reuses these compares them by identity
 ZERO = Fraction(0)
@@ -70,23 +70,23 @@ class CoeffMatrix:
     zero as 0/1: a canonical form, so `==` and `hash` compare tuples of ints.
     The constructor takes equal-length rows of `int` and `Fraction` entries
     and raises TypeError on any other type, a float included; kernels pass
-    reduced grids to `_from_grids`.  The renderers read the grids, and
-    `entries`, the grid of `Fraction`s, is built once, on first read.
+    reduced grids to `_from_grids`.  `entries`, the grid of `Fraction`s,
+    is built once, on first read.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]  # the argument; stored as nums and dens
     _record_values = attrgetter("nums", "dens")
 
     def __init__(self, entries) -> None:
-        pairs = [[_ratio(x, i, j) for j, x in enumerate(row, 1)]
-                 for i, row in enumerate(entries, 1)]
-        if not pairs or not pairs[0]:
+        grid = [[_fraction(x, "entry ({}, {})", i, j) for j, x in enumerate(row, 1)]
+                for i, row in enumerate(entries, 1)]
+        if not grid or not grid[0]:
             raise ValueError("matrix dimensions must be positive")
-        if any(len(row) != len(pairs[0]) for row in pairs):
+        if any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("rows must have equal length")
         # straight into the instance dict, past the frozen __setattr__
-        self.__dict__.update(nums=tuple(tuple(n for n, _ in row) for row in pairs),
-                             dens=tuple(tuple(d for _, d in row) for row in pairs))
+        self.__dict__.update(nums=tuple(tuple(x.numerator for x in row) for row in grid),
+                             dens=tuple(tuple(x.denominator for x in row) for row in grid))
 
     @classmethod
     def _from_grids(cls, nums: tuple, dens: tuple) -> CoeffMatrix:
@@ -115,31 +115,6 @@ class CoeffMatrix:
     def identity(cls, n: int) -> CoeffMatrix:
         nums = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
         return cls._from_grids(nums, ((1,) * n,) * n)
-
-    def cells(self) -> list[list[str]]:
-        """Every entry as `rat_to_str` writes it: "n", or "n/d" when d > 1."""
-        return [list(map(_ratio_str, *rows)) for rows in zip(self.nums, self.dens)]
-
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": self.cells()}
-
-    def to_latex(self) -> str:
-        """pmatrix with inline p/q fractions, one matrix row per line."""
-        lines = [" " + " & ".join(row) + " \\\\" for row in self.cells()]
-        return "\n".join(["\\begin{pmatrix}", *lines, "\\end{pmatrix}"])
-
-    def to_text(self) -> str:
-        cells = self.cells()
-        widths = [max(map(len, col)) for col in zip(*cells)]
-        return "\n".join("  ".join(map(str.rjust, row, widths)) for row in cells)
-
-
-def _ratio(x, i: int, j: int) -> tuple[int, int]:
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if not isinstance(x, int):
-        raise TypeError(f"entry ({i}, {j}) is a {type(x).__name__}, not an exact int or Fraction")
-    return int(x), 1
 
 
 def build_matrix_A(N: int) -> CoeffMatrix:

@@ -31,6 +31,20 @@ def rat_to_str(x: Fraction) -> str:
     return _ratio_str(x.numerator, x.denominator)
 
 
+def _fraction(x, what: str, *index: int) -> Fraction:
+    """x as a Fraction: kept if it is one, converted if an int (bool too).
+
+    Any other type raises TypeError naming the field `what.format(*index)`.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(
+        f"{what.format(*index)} is a {type(x).__name__}, not an exact int or Fraction"
+    )
+
+
 def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Rationals as (lcm of their denominators, integer numerators over it)."""
     den = lcm(*(x.denominator for x in xs))

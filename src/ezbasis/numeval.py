@@ -398,20 +398,6 @@ class NumericReport:
     def passed(self) -> bool:
         return self.max_residual < self.tol
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": [self.s.real, self.s.imag],
-            "cutoff": self.cutoff,
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "residual": c.residual, "bound": c.bound}
-                for c in self.checks
-            ],
-        }
-
 
 def _weights(terms: list[tuple[int, int, int]]) -> list[tuple[float, int]]:
     """(weight, p) over zeta(-p, s+p) of the nonzero terms; zeta(0,s) takes n/(2d)."""

@@ -26,7 +26,7 @@ Their exact agreement for every m is one of the package's main checks.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
@@ -34,7 +34,7 @@ from operator import mul
 from ._record import record
 from .coeffs import ONE, ZERO, coeff_row
 from .errors import VerificationError
-from .exactnum import _over_lcm, rat_to_str
+from .exactnum import _fraction, _over_lcm
 
 MATRIX_PATH = "matrix_path"
 RESIDUE_PATH = "residue_path"
@@ -49,36 +49,6 @@ def function_label(p: int) -> str:
     return f"zeta(-{p},s+{p})"
 
 
-def render_combination(
-    pairs: Iterable[tuple[str, Fraction]], latex: bool = False
-) -> str:
-    """Render a signed linear combination of (label, weight) pairs.
-
-    Labels are plain, like `function_label` gives them.  Text style puts
-    the coefficient in front (3/2 zeta(...)); latex style prefixes each
-    label with a backslash and splits the coefficient around it in
-    display fashion (3 \\zeta(...)/2).  Unit coefficients are suppressed
-    and zero weights skipped either way; an all-zero combination is "0".
-    """
-    parts: list[str] = []
-    for label, w in pairs:
-        if w == 0:
-            continue
-        mag = abs(w)
-        if latex:
-            num = "" if mag.numerator == 1 else f"{mag.numerator} "
-            den = "" if mag.denominator == 1 else f"/{mag.denominator}"
-            term = f"{num}\\{label}{den}"
-        else:
-            coef = "" if mag == 1 else f"{rat_to_str(mag)} "
-            term = f"{coef}{label}"
-        if not parts:
-            parts.append(term if w > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if w > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
-
-
 @record
 class RelationVector:
     """One Q-linear relation sum_p coefficients[p] * f_p = 0.
@@ -91,11 +61,8 @@ class RelationVector:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "coefficients",
-            tuple(x if type(x) is Fraction else Fraction(x) for x in self.coefficients),
-        )
+        object.__setattr__(self, "coefficients", tuple(
+            _fraction(x, "coefficient {}", p) for p, x in enumerate(self.coefficients)))
         if all(x == 0 for x in self.coefficients):
             raise ValueError("relation must have a nonzero coefficient")
 
@@ -237,11 +204,8 @@ class BasisRepresentation:
     provenance: str = MATRIX_PATH
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "gamma",
-            tuple(x if type(x) is Fraction else Fraction(x) for x in self.gamma),
-        )
+        object.__setattr__(self, "gamma", tuple(
+            _fraction(x, "gamma[{}]", k) for k, x in enumerate(self.gamma)))
         if self.m < 0:
             raise ValueError("m must be >= 0")
         if self.provenance not in (MATRIX_PATH, RESIDUE_PATH):
@@ -250,10 +214,6 @@ class BasisRepresentation:
             raise VerificationError("gamma must have length m + 1")
         den, nums = _over_lcm(self.gamma)
         _check_gamma(self.m, [2 * nums[0], *nums[1:]], den)
-
-    @property
-    def target_label(self) -> str:
-        return function_label(2 * self.m + 1)
 
     def as_relation_vector(self) -> RelationVector:
         """The same identity as a zero relation over the family.
@@ -268,22 +228,6 @@ class BasisRepresentation:
         for k in range(1, self.m + 1):
             coeffs[2 * k] = -self.gamma[k]
         return RelationVector(coefficients=tuple(coeffs))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target_label,
-            "coeffs": {str(2 * k): rat_to_str(g) for k, g in enumerate(self.gamma)},
-        }
-
-    def _terms(self) -> list[tuple[str, Fraction]]:
-        return [(function_label(2 * k), self.gamma[k]) for k in range(self.m, -1, -1)]
-
-    def to_latex(self) -> str:
-        """One display line, highest basis index first, p \\zeta(...)/q terms."""
-        return f"\\{self.target_label} = {render_combination(self._terms(), latex=True)}"
-
-    def to_text(self) -> str:
-        return f"{self.target_label} = {render_combination(self._terms())}"
 
 
 def basis_representation(m: int) -> BasisRepresentation:

@@ -4,19 +4,18 @@ exact relation oracle built on it."""
 from __future__ import annotations
 
 import inspect
+import json
 from fractions import Fraction as F
 from math import comb, gcd
 
 import pytest
 
 import ezbasis.analytic as analytic
+import ezbasis.cli as cli
 import ezbasis.exactnum as exactnum
 import ezbasis.relations as relations
 import ezbasis.trilinalg as trilinalg
 from ezbasis.analytic import (
-    S_EQ_1,
-    S_EQ_2,
-    S_EQ_MINUS_2K,
     PoleRecord,
     PoleTable,
     ZetaShiftExpansion,
@@ -39,7 +38,7 @@ from test_trilinalg import _fraction_news
 @pytest.fixture
 def fresh_memos():
     """Empty catalog and expansion memos before and after a test that patches their inputs."""
-    memos = (analytic._catalog_ints, pole_table, analytic._expansion_ints)
+    memos = (analytic._catalog_ints, analytic._expansion_ints)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -84,12 +83,6 @@ class TestPoleTable:
             assert locs[0] == 2 and locs[1] == 1
             assert list(locs) == sorted(locs, reverse=True)
 
-    def test_source_labels(self):
-        t = pole_table(6)
-        assert t.records[0].source_label == S_EQ_2
-        assert t.records[1].source_label == S_EQ_1
-        assert all(r.source_label == S_EQ_MINUS_2K for r in t.records[2:])
-
     def test_residue_at_missing_location(self):
         assert pole_table(4).residue_at(-17) is ZERO
 
@@ -106,21 +99,10 @@ class TestPoleTable:
                 assert r.residue == gen_binomial(2 * k - n, 2 * k + 1) * zeta_neg(2 * k + 1)
                 assert type(r.residue) is F
 
-    def test_catalog_reads_no_expansion(self, monkeypatch):
-        reference = [pole_table(n) for n in range(41)]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the direct catalog must not read an expansion")
-
-        for name in ("_faulhaber_ints", "_expansion_ints", "zeta_shift_expansion"):
-            monkeypatch.setattr(analytic, name, refuse)
-        monkeypatch.setattr(exactnum, "_faulhaber_ints", refuse)
-        monkeypatch.setattr(exactnum, "faulhaber", refuse)
-        assert [pole_table.__wrapped__(n) for n in range(41)] == reference
-
     def test_catalog_producer_reads_no_expansion(self, monkeypatch):
-        # the memo of _catalog_ints is warm here, so the producer and the
-        # records are recomputed from it while the expansion side refuses
+        # the memo of _catalog_ints is warm here, so the tables are built
+        # from it, and then the producer and the tables are recomputed,
+        # all while the expansion side refuses
         ints = [analytic._catalog_ints(n) for n in range(41)]
         tables = [pole_table(n) for n in range(41)]
 
@@ -131,9 +113,10 @@ class TestPoleTable:
             monkeypatch.setattr(analytic, name, refuse)
         monkeypatch.setattr(exactnum, "_faulhaber_ints", refuse)
         monkeypatch.setattr(exactnum, "faulhaber", refuse)
+        assert [pole_table(n) for n in range(41)] == tables
         assert [analytic._catalog_ints.__wrapped__(n) for n in range(41)] == ints
         monkeypatch.setattr(analytic, "_catalog_ints", analytic._catalog_ints.__wrapped__)
-        assert [pole_table.__wrapped__(n) for n in range(41)] == tables
+        assert [pole_table(n) for n in range(41)] == tables
         witnesses = [independence_witness(m) for m in range(1, 21)]
         assert witnesses == [t.records[-1] for t in tables[2::2]]
 
@@ -176,14 +159,10 @@ class TestPoleTable:
                 PoleRecord(location=2, residue=zero)
 
     def test_record_rejects_bad_label(self):
-        # the label is read off the location, so a bad label is a
-        # location that no residue formula gives
+        # a bad label is a location that no residue formula gives
         for location in (3, -1):
             with pytest.raises(ValueError, match=f"no residue formula .* at s = {location}$"):
                 PoleRecord(location=location, residue=F(1))
-        assert [PoleRecord(loc, F(1)).source_label for loc in (2, 1, 0, -4)] == [
-            S_EQ_2, S_EQ_1, S_EQ_MINUS_2K, S_EQ_MINUS_2K
-        ]
 
     def test_table_rejects_wrong_count(self):
         only = (PoleRecord(location=2, residue=F(1)),)
@@ -198,8 +177,8 @@ class TestPoleTable:
         with pytest.raises(ValueError):
             PoleTable(n=0, records=recs)
 
-    def test_json_shape(self):
-        d = pole_table(3).to_json_dict()
+    def test_json_shape(self, cli_stdout):
+        d = json.loads(cli_stdout("poles", "--n", "3", "--format", "json"))
         assert d == {
             "n": 3,
             "poles": [
@@ -209,14 +188,14 @@ class TestPoleTable:
             ],
         }
 
-    def test_latex(self):
-        text = pole_table(3).to_latex()
+    def test_latex(self, cli_stdout):
+        text = cli_stdout("poles", "--n", "3", "--format", "latex")
         assert text.startswith("\\begin{array}{cccc}")
         assert " \\text{at} & s=2, & \\text{residue} & 1/4, \\\\" in text
         assert text.endswith("\\end{array}")
 
-    def test_text(self):
-        text = pole_table(0).to_text()
+    def test_text(self, cli_stdout):
+        text = cli_stdout("poles", "--n", "0")
         assert text.splitlines()[0] == "poles of zeta(0,s):"
         assert "s =   2" in text
 
@@ -261,11 +240,12 @@ class TestZetaShiftExpansion:
             assert all(type(x) is F for x in q)
 
     def test_term_labels(self):
-        e = zeta_shift_expansion(3)
-        assert e.term_label(0) == "zeta(s-1)"
-        assert e.term_label(1) == "zeta(s)"
-        assert e.term_label(2) == "zeta(s+1)"
-        assert e.term_label(3) == "zeta(s+2)"
+        # the labels the expand command writes; odd j >= 3 never render,
+        # as their q_j vanish
+        assert cli._shift_label(0) == "zeta(s-1)"
+        assert cli._shift_label(1) == "zeta(s)"
+        assert cli._shift_label(2) == "zeta(s+1)"
+        assert cli._shift_label(3) == "zeta(s+2)"
 
     def test_integer_form_matches_the_expansion(self):
         for c in range(151):
@@ -292,8 +272,8 @@ class TestZetaShiftExpansion:
         e = ZetaShiftExpansion(c=0, q=(1, -1))
         assert e.q == (1, -1) and all(type(x) is F for x in e.q)
 
-    def test_json(self):
-        assert zeta_shift_expansion(2).to_json_dict() == {
+    def test_json(self, cli_stdout):
+        assert json.loads(cli_stdout("expand", "--c", "2", "--format", "json")) == {
             "c": 2,
             "q": ["1/3", "-1/2", "1/6"],
         }

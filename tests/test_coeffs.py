@@ -3,6 +3,7 @@ power-sum decomposition machinery."""
 
 from __future__ import annotations
 
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -10,7 +11,9 @@ from math import comb, gcd
 
 import pytest
 
+import ezbasis.cli as cli
 from ezbasis import coeffs
+from ezbasis.analytic import PoleRecord, ZetaShiftExpansion
 from ezbasis.coeffs import (
     ZERO,
     CoeffMatrix,
@@ -22,9 +25,15 @@ from ezbasis.coeffs import (
     verify_power_sum_identity,
 )
 from ezbasis.errors import SingularMatrixError
+from ezbasis.relations import BasisRepresentation, RelationVector
 from ezbasis.trilinalg import invert_cofactor, invert_forward
 from golden_values import A1_12, A2_12, A_12
 from reference import matrix_from_json
+
+
+def _json(m: CoeffMatrix) -> dict:
+    """The `matrix` and `invert` JSON of m, parsed."""
+    return json.loads(cli._matrix_output(m, "json"))
 
 
 def _padded(c, width):
@@ -186,18 +195,22 @@ class TestCoeffMatrix:
                 CoeffMatrix.from_rows(empty)
 
     def test_json_round_trip(self):
-        m = build_matrix_A(8)
-        again = matrix_from_json(m.to_json_dict())
-        assert again == m
+        # the family matrix, and one with signs and denominators that is not
+        dense = CoeffMatrix.from_rows([[F(-7, 3), 0, 2], [1, F(5, 12), F(-1, 9)]])
+        for m in (build_matrix_A(8), dense):
+            again = matrix_from_json(_json(m))
+            assert again == m
 
     def test_json_round_trip_redetects_triangular(self):
         a1, _ = split_A1_A2(build_matrix_A(8))
-        again = matrix_from_json(a1.to_json_dict())
-        assert again == a1
-        require_lower_triangular(again)
+        lower = CoeffMatrix.from_rows([[F(2, 3), 0], [F(-5, 7), -4]])
+        for m in (a1, lower):
+            again = matrix_from_json(_json(m))
+            assert again == m
+            require_lower_triangular(again)
 
     def test_json_header_must_match_the_grid(self):
-        data = build_matrix_A(8).to_json_dict()
+        data = _json(build_matrix_A(8))
         for key, wrong in (("rows", 7), ("cols", 5)):
             with pytest.raises(ValueError, match="header says"):
                 matrix_from_json(dict(data, **{key: wrong}))
@@ -209,13 +222,13 @@ class TestCoeffMatrix:
 
     def test_to_latex(self):
         m = CoeffMatrix.from_rows([[1, 0], [F(-1, 2), 3]])
-        text = m.to_latex()
+        text = cli._matrix_output(m, "latex")
         assert text.startswith("\\begin{pmatrix}")
         assert "-1/2 & 3" in text
         assert text.endswith("\\end{pmatrix}")
 
     def test_to_text_alignment(self):
-        lines = build_matrix_A(6).to_text().splitlines()
+        lines = cli._matrix_output(build_matrix_A(6), "text").splitlines()
         assert len(lines) == 6
         widths = {len(line) for line in lines}
         assert len(widths) == 1
@@ -267,14 +280,33 @@ class TestCanonicalForm:
         assert CoeffMatrix.from_rows(m.entries) == m
 
 
+_INEXACT = pytest.mark.parametrize(
+    "bad", [0.1, float("nan"), 1j, "1", Decimal("0.1")],
+    ids=["float", "nan", "complex", "str", "decimal"],
+)
+
+
 class TestInexactEntries:
-    @pytest.mark.parametrize(
-        "bad", [0.1, float("nan"), 1j, "1", Decimal("0.1")],
-        ids=["float", "nan", "complex", "str", "decimal"],
-    )
+    @_INEXACT
     def test_rejected_with_its_position(self, bad):
         with pytest.raises(TypeError, match=r"entry \(2, 1\) is a \w+, not an exact int"):
             CoeffMatrix.from_rows([[1, 0], [bad, 1]])
+
+    @_INEXACT
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda x: RelationVector((1, x)), r"coefficient 1"),
+            (lambda x: PoleRecord(2, x), r"residue"),
+            (lambda x: ZetaShiftExpansion(1, (F(1, 2), x)), r"q_1"),
+            (lambda x: BasisRepresentation(1, (x, F(3, 2))), r"gamma\[0\]"),
+        ],
+        ids=["RelationVector", "PoleRecord", "ZetaShiftExpansion", "BasisRepresentation"],
+    )
+    def test_records_reject_them_by_field(self, build, field, bad):
+        # one rule for every exact field: the matrix's, and each record's
+        with pytest.raises(TypeError, match=rf"^{field} is a \w+, not an exact int or Fraction$"):
+            build(bad)
 
     def test_rejected_before_any_kernel(self):
         with pytest.raises(TypeError, match=r"entry \(1, 1\) is a float"):
@@ -285,7 +317,7 @@ class TestInexactEntries:
     def test_int_subclasses_are_stored_as_int(self):
         m = CoeffMatrix.from_rows([[True, False]])
         assert m.nums == ((1, 0),) and all(type(n) is int for n in m.nums[0])
-        assert m.to_text() == "1  0"
+        assert cli._matrix_output(m, "text") == "1  0"
 
 
 # The one triangularity check, reached through every caller that runs it.

@@ -4,6 +4,7 @@ verification layer."""
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from fractions import Fraction
 from math import comb, lcm
@@ -412,9 +413,10 @@ class TestNumericVerify:
         for check in report.checks:
             assert check.residual <= check.bound
 
-    def test_json_shape(self):
-        report = numeric_verify(4, 6.0, 1_000, 1e-5)
-        d = report.to_json_dict()
+    def test_json_shape(self, cli_stdout):
+        out = cli_stdout("verify", "--n", "4", "--mode", "numeric", "--s", "6",
+                         "--cutoff", "1000", "--tol", "1e-5", "--format", "json")
+        d = json.loads(out)["numeric"]
         assert d["n"] == 4
         assert d["s"] == [6.0, 0.0]
         assert d["passed"] is True

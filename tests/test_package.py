@@ -61,6 +61,28 @@ def test_reference_routes_import_only_their_inputs():
         assert not any(forbidden in m or n == forbidden for m, n in imported), forbidden
 
 
+def test_only_the_cli_renders():
+    # the records are values: every output format is written in cli.py,
+    # which alone reads the text form of a rational, apart from the re-export
+    renderers = {"to_text", "to_latex", "to_json_dict", "cells"}
+    for name in ezbasis.__all__:
+        obj = getattr(ezbasis, name)
+        if isinstance(obj, type):
+            assert not renderers & set(dir(obj)), name
+    readers = set()
+    for path in Path(ezbasis.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if "rat_to_str" in names:
+                readers.add(path.name)
+    assert readers == {"__init__.py", "cli.py"}
+
+
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:
     """Run the interpreter with `args` in a fresh process that finds src."""
     src = str(Path(ezbasis.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 from fractions import Fraction as F
 from math import comb
 
@@ -121,8 +122,9 @@ class TestBasisRepresentation:
         with pytest.raises(ValueError):
             basis_representation(-1)
 
-    def test_target_label(self):
-        assert basis_representation(2).target_label == "zeta(-5,s+5)"
+    def test_target_label(self, cli_stdout):
+        out = cli_stdout("basis", "--m", "2", "--format", "json")
+        assert json.loads(out)["target"] == "zeta(-5,s+5)"
 
     def test_constructor_rejects_wrong_length(self):
         with pytest.raises(VerificationError):
@@ -168,26 +170,24 @@ class TestBasisRepresentation:
         # folded form halves the head
         assert rel.folded_coefficients() == (F(1, 4), F(0), F(-3, 2), F(1))
 
-    def test_json_dict(self):
-        d = basis_representation(1).to_json_dict()
+    def test_json_dict(self, cli_stdout):
+        d = json.loads(cli_stdout("basis", "--m", "1", "--format", "json"))
         assert d == {
             "target": "zeta(-3,s+3)",
             "coeffs": {"0": "-1/4", "2": "3/2"},
         }
 
-    def test_latex_m5(self):
+    def test_latex_m5(self, cli_stdout):
         # whitespace-insensitive: the reference line uses display spacing
-        text = basis_representation(5).to_latex()
+        text = cli_stdout("basis", "--m", "5", "--format", "latex")
         assert "".join(text.split()) == "".join(BASIS_LATEX_M5.split())
 
-    def test_latex_m0(self):
-        assert basis_representation(0).to_latex() == "\\zeta(-1,s+1) = \\zeta(0,s)/2"
+    def test_latex_m0(self, cli_stdout):
+        out = cli_stdout("basis", "--m", "0", "--format", "latex")
+        assert out == "\\zeta(-1,s+1) = \\zeta(0,s)/2"
 
-    def test_text_m1(self):
-        assert (
-            basis_representation(1).to_text()
-            == "zeta(-3,s+3) = 3/2 zeta(-2,s+2) - 1/4 zeta(0,s)"
-        )
+    def test_text_m1(self, cli_stdout):
+        assert cli_stdout("basis", "--m", "1") == "zeta(-3,s+3) = 3/2 zeta(-2,s+2) - 1/4 zeta(0,s)"
 
 
 def _gamma_reference(size):
