@@ -99,6 +99,21 @@ class TestPoleTable:
                 assert r.residue == gen_binomial(2 * k - n, 2 * k + 1) * zeta_neg(2 * k + 1)
                 assert type(r.residue) is F
 
+    def test_catalog_reads_no_expansion(self, monkeypatch, fresh_memos):
+        # the catalog memo is emptied, so each table is built from scratch
+        # while the expansion side refuses
+        reference = [pole_table(n) for n in range(41)]
+        analytic._catalog_ints.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct catalog must not read an expansion")
+
+        for name in ("_faulhaber_ints", "_expansion_ints", "zeta_shift_expansion"):
+            monkeypatch.setattr(analytic, name, refuse)
+        monkeypatch.setattr(exactnum, "_faulhaber_ints", refuse)
+        monkeypatch.setattr(exactnum, "faulhaber", refuse)
+        assert [pole_table(n) for n in range(41)] == reference
+
     def test_catalog_producer_reads_no_expansion(self, monkeypatch):
         # the memo of _catalog_ints is warm here, so the tables are built
         # from it, and then the producer and the tables are recomputed,
