@@ -246,15 +246,14 @@ class ExactRelationReport:
 def _collapse(terms: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
     """(D, acc) with acc[j]/D the coordinate on zeta(s+j-1) of the terms (p, n, d).
 
-    Term (p, n, d) weights position p by n/d, and position 0 through
-    half its expansion, as it stands for zeta(0,s)/2.  Each term is
-    reduced by its gcd, and all are put over the lcm D of the results.
+    Term (p, n, d) weights position p by n/d.  Each term is reduced by
+    its gcd, and all are put over the lcm D of the results.
     """
     scaled = []
     for p, n, d in terms:
         if n:
             den, pairs = _expansion_ints(p)
-            d *= den * (2 if p == 0 else 1)
+            d *= den
             g = gcd(n, d)
             scaled.append((n // g, d // g, pairs))
     D = lcm(*(d for _, d, _ in scaled))

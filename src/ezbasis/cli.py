@@ -251,20 +251,18 @@ def _cmd_relations(ns: argparse.Namespace) -> tuple[str, int]:
         obj = {
             "n": ns.n,
             "functions": labels,
-            "relations": [
-                [rat_to_str(w) for w in rel.folded_coefficients()] for rel in rels
-            ],
+            "relations": [[rat_to_str(w) for w in rel.coefficients] for rel in rels],
         }
         return _json_text(obj), 0
     if ns.fmt == "csv":
         rows = [
             [idx, labels[p], rat_to_str(w)]
             for idx, rel in enumerate(rels, start=1)
-            for p, w in enumerate(rel.folded_coefficients())
+            for p, w in enumerate(rel.coefficients)
         ]
         return _csv_text(["relation", "function", "coeff"], rows), 0
     latex = ns.fmt == "latex"
-    sums = [_combination(zip(labels, rel.folded_coefficients()), latex) for rel in rels]
+    sums = [_combination(zip(labels, rel.coefficients), latex) for rel in rels]
     if latex:
         return "\n".join(f"{line} = 0 \\\\" for line in sums), 0
     return "\n".join(f"r{idx}: {line} = 0" for idx, line in enumerate(sums, start=1)), 0

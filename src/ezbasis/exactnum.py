@@ -26,8 +26,11 @@ def _ratio_str(p: int, q: int) -> str:
 
 
 def rat_to_str(x: Fraction) -> str:
-    """Canonical string form: "p/q" in lowest terms, or "p" when q == 1."""
-    x = x if type(x) is Fraction else Fraction(x)
+    """Canonical string form: "p/q" in lowest terms, or "p" when q == 1.
+
+    x must be an int or a Fraction; anything else raises TypeError.
+    """
+    x = _fraction(x, "value")
     return _ratio_str(x.numerator, x.denominator)
 
 
@@ -126,6 +129,8 @@ class FaulhaberPoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(
+            _fraction(x, "coeffs[{}]", i) for i, x in enumerate(self.coeffs)))
         if self.c < 0:
             raise ValueError("exponent must be >= 0")
         if len(self.coeffs) != self.c + 2:

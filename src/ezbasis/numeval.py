@@ -26,8 +26,8 @@ is kept for the last (Im s, cutoff).  `eval_ez_double` and
 `eval_tornheim` sum through the same `_sum_series`, so every value is
 the same bit for bit either way.  The identities' weights are the
 integer terms (p, n, d) of `relations._family_terms`, which the exact
-collapse reads too; n/d (n/(2d) at p = 0) is one correctly rounded
-division, the float that the reduced `Fraction` gives.
+collapse reads too; n/d is one correctly rounded division, the float
+that the reduced `Fraction` gives.
 
 The overflow guard is checked once per series.  A term takes the
 plain formula when its inner integer has under 900 bits and
@@ -400,8 +400,8 @@ class NumericReport:
 
 
 def _weights(terms: list[tuple[int, int, int]]) -> list[tuple[float, int]]:
-    """(weight, p) over zeta(-p, s+p) of the nonzero terms; zeta(0,s) takes n/(2d)."""
-    return [(n / (2 * d if p == 0 else d), p) for p, n, d in terms if n]
+    """(weight, p) over zeta(-p, s+p) of the nonzero terms."""
+    return [(n / d, p) for p, n, d in terms if n]
 
 
 def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport:

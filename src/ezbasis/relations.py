@@ -3,10 +3,9 @@
 The function family under study is zeta(-c, s+c) for c = 0, 1, 2, ...,
 ordered by c.  Throughout this module a coefficient vector over the
 family of size L is indexed by position p = 0..L-1, where position p
-stands for zeta(-p, s+p) except that position 0 stands for the halved
-function zeta(0,s)/2.  The halving is pure bookkeeping inherited from
-the constant row of the coefficient matrix; every public
-BasisRepresentation folds it away and speaks about zeta(0,s) itself.
+weighs zeta(-p, s+p).  The constant row of the coefficient matrix
+stands for zeta(0,s)/2, so the solve's weight on it is halved once, in
+`_family_terms`.
 
 `relation_family` and the matrix path below share one back-substitution
 on the integer coefficient rows and build no inverse, and `_family_terms`
@@ -36,10 +35,6 @@ from .coeffs import ONE, ZERO, coeff_row
 from .errors import VerificationError
 from .exactnum import _fraction, _over_lcm
 
-MATRIX_PATH = "matrix_path"
-RESIDUE_PATH = "residue_path"
-
-
 def function_label(p: int) -> str:
     """Display name of family member p: zeta(0,s), zeta(-1,s+1), ..."""
     if p < 0:
@@ -53,8 +48,7 @@ def function_label(p: int) -> str:
 class RelationVector:
     """One Q-linear relation sum_p coefficients[p] * f_p = 0.
 
-    Position p refers to zeta(-p, s+p), with position 0 the halved
-    zeta(0,s)/2 (see module docstring).  The identity holds for the
+    Position p refers to zeta(-p, s+p).  The identity holds for the
     meromorphic continuations away from their singularities.
     """
 
@@ -66,23 +60,14 @@ class RelationVector:
         if all(x == 0 for x in self.coefficients):
             raise ValueError("relation must have a nonzero coefficient")
 
-    def folded_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients over the unhalved functions zeta(-p, s+p).
-
-        Only position 0 changes: a weight w on zeta(0,s)/2 is the
-        weight w/2 on zeta(0,s).  This is the form all CLI emitters
-        use.
-        """
-        head = self.coefficients[0] / 2
-        return (head,) + self.coefficients[1:]
-
 
 def relation_family(N: int) -> list[RelationVector]:
     """All N' relations of the size-N family, one per matrix row.
 
     Row i of A1^(-1) contributes the even positions and row i of
-    -A2^(-1) the odd positions of relation i; relation 1 is
-    zeta(0,s)/2 - zeta(-1,s+1) = 0.  The weights come from `_family_terms`.
+    -A2^(-1) the odd positions of relation i, with entry 0 halved;
+    relation 1 is zeta(0,s)/2 - zeta(-1,s+1) = 0.  The weights come from
+    `_family_terms`.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -101,16 +86,20 @@ def _family_terms(n_rel: int, ms: range) -> tuple[Iterator[list], Iterator[list]
 
     Term (p, n, d) weights position p by n/d, in ascending p.  Relation
     i is x/dx on the even and -y/dy on the odd positions; representation
-    m is -x/d on the even positions and 1 on 2m+1.  Each row of
-    `_solved_rows` is laid out only when its generator reaches it.
+    m is -x/d on the even positions and 1 on 2m+1.  The solve's x_0
+    weighs zeta(0,s)/2, so position 0 takes x_0/(2d) here, the one place
+    it is halved.  Each row of `_solved_rows` is laid out only when its
+    generator reaches it.
     """
     rels, reps = _solved_rows(n_rel, ms)
     rel_terms = (
-        [t for k in range(len(x)) for t in ((2 * k, x[k], dx), (2 * k + 1, -y[k], dy))]
+        [(0, x[0], 2 * dx), (1, -y[0], dy)]
+        + [t for k in range(1, len(x)) for t in ((2 * k, x[k], dx), (2 * k + 1, -y[k], dy))]
         for x, dx, y, dy in rels
     )
     rep_terms = (
-        [(2 * k, -v, d) for k, v in enumerate(x)] + [(2 * m + 1, 1, 1)]
+        [(0, -x[0], 2 * d)] + [(2 * k, -x[k], d) for k in range(1, m + 1)]
+        + [(2 * m + 1, 1, 1)]
         for m, (x, d) in zip(ms, reps)
     )
     return rel_terms, rep_terms
@@ -190,8 +179,7 @@ def _check_gamma(m: int, x: Sequence[int], den: int) -> None:
 class BasisRepresentation:
     """zeta(-2m-1, s+2m+1) written over the even-index basis.
 
-    gamma[k] multiplies zeta(-2k, s+2k); gamma[0] multiplies the plain
-    zeta(0,s) (no halving here).  Construction enforces the two
+    gamma[k] multiplies zeta(-2k, s+2k).  Construction enforces the two
     structural facts that hold for every valid representation: the
     leading coefficient gamma[m] = (2m+1)/2, and the residue balance
     2*gamma[0] + sum_{k>=1} gamma[k] = 1 coming from the common pole at
@@ -201,15 +189,12 @@ class BasisRepresentation:
 
     m: int
     gamma: tuple[Fraction, ...]
-    provenance: str = MATRIX_PATH
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", tuple(
             _fraction(x, "gamma[{}]", k) for k, x in enumerate(self.gamma)))
         if self.m < 0:
             raise ValueError("m must be >= 0")
-        if self.provenance not in (MATRIX_PATH, RESIDUE_PATH):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if len(self.gamma) != self.m + 1:
             raise VerificationError("gamma must have length m + 1")
         den, nums = _over_lcm(self.gamma)
@@ -218,15 +203,12 @@ class BasisRepresentation:
     def as_relation_vector(self) -> RelationVector:
         """The same identity as a zero relation over the family.
 
-        Coefficient +1 on the target, -gamma[k] on each basis member;
-        position 0 carries -2*gamma[0] because it stands for
-        zeta(0,s)/2.
+        Coefficient +1 on the target, -gamma[k] on each basis member.
         """
         coeffs = [ZERO] * (2 * self.m + 2)
         coeffs[2 * self.m + 1] = ONE
-        coeffs[0] = -2 * self.gamma[0]
-        for k in range(1, self.m + 1):
-            coeffs[2 * k] = -self.gamma[k]
+        for k, g in enumerate(self.gamma):
+            coeffs[2 * k] = -g
         return RelationVector(coefficients=tuple(coeffs))
 
 
@@ -240,14 +222,13 @@ def basis_representation(m: int) -> BasisRepresentation:
     a_{2m+2,.}, both read from `coeff_row`.  The back-substitution is
     `_solve_left`, as in `relation_family`; its pivots are A1's diagonal
     entries (+-1 or +-2), and a zero pivot raises VerificationError.
-    The entries weight (zeta(0,s)/2, zeta(-2,s+2), ...), so x_0 is
-    halved into gamma[0].
+    gamma is minus the even positions of the row `_family_terms` lays out.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    [(num, den)] = _solved_rows(0, range(m, m + 1))[1]
-    gamma = [Fraction(num[0], 2 * den)] + [Fraction(x, den) for x in num[1:]]
-    return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=MATRIX_PATH)
+    [terms] = _family_terms(0, range(m, m + 1))[1]
+    gamma = tuple(Fraction(-n, d) for _, n, d in terms[:-1])
+    return BasisRepresentation(m=m, gamma=gamma)
 
 
 def residue_system_representation(m: int) -> BasisRepresentation:
@@ -308,4 +289,4 @@ def residue_system_representation(m: int) -> BasisRepresentation:
             f"imbalance {Fraction(balance, L * den)}"
         )
     gamma = [Fraction(-n0, 2 * den)] + [Fraction(-num[2 * k], den) for k in range(1, m + 1)]
-    return BasisRepresentation(m=m, gamma=tuple(gamma), provenance=RESIDUE_PATH)
+    return BasisRepresentation(m=m, gamma=tuple(gamma))

@@ -409,10 +409,12 @@ class TestCollapseRelation:
             assert collapse_relation(rel) == {}
 
     def test_invalid_relation_leaves_residue(self):
-        bad = RelationVector(coefficients=(F(1), F(-2)))
+        # zeta(0,s) = zeta(s-1) - zeta(s) and zeta(-1,s+1) = (zeta(s-1) - zeta(s))/2
+        assert collapse_relation(RelationVector(coefficients=(F(1), F(-2)))) == {}
+        bad = RelationVector(coefficients=(F(1), F(-1)))
         residual = collapse_relation(bad)
-        # zeta(0,s)/2 - 2 zeta(-1,s+1): coordinates (1/2 - 1, -1/2 + 1)
-        assert residual == {0: F(-1, 2), 1: F(1, 2)}
+        # zeta(0,s) - zeta(-1,s+1): coordinates (1 - 1/2, -1 + 1/2)
+        assert residual == {0: F(1, 2), 1: F(-1, 2)}
 
     def test_representation_vectors_collapse(self):
         for m in range(8):
@@ -426,11 +428,10 @@ def _collapse_reference(rel):
     for p, w in enumerate(rel.coefficients):
         if w == 0:
             continue
-        scale = w / 2 if p == 0 else w
         for j, qj in enumerate(zeta_shift_expansion(p).q):
             if qj == 0:
                 continue
-            acc[j] = acc.get(j, F(0)) + scale * qj
+            acc[j] = acc.get(j, F(0)) + w * qj
     return {j: v for j, v in acc.items() if v != 0}
 
 
@@ -444,7 +445,7 @@ def _vectors_n100():
     rels = relation_family(100)
     reps = [basis_representation(m).as_relation_vector() for m in range(50)]
     corrupted = [
-        # position 0 stands for zeta(0,s)/2: pins the halving
+        # position 0 weighs zeta(0,s) itself: pins the unhalved head
         _corrupted(rels[9], 0, F(1, 3)),
         # q of c = 5 has zeros at j = 3 and j = 5
         _corrupted(rels[19], 5, F(-1, 7)),

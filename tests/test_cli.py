@@ -14,6 +14,7 @@ import pytest
 import ezbasis.cli as cli
 from ezbasis import coeffs, numeval, relations
 from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
+from ezbasis.exactnum import rat_to_str
 from ezbasis.trilinalg import invert_forward
 from golden_values import BASIS_LATEX_M5, CLI_STDOUT, MATRIX_CLI_SHA256
 from reference import matrix_from_json
@@ -156,6 +157,14 @@ class TestRelations:
         lines = out.rstrip("\n").split("\n")
         assert lines[0].endswith("= 0 \\\\")
         assert "\\zeta(0,s)/2 - \\zeta(-1,s+1)" in lines[0]
+
+    @pytest.mark.parametrize("N", [2, 3, 12, 13])
+    def test_json_prints_the_library_vectors(self, cli_stdout, N):
+        # the weights leave the library as the CLI prints them: no fold in between
+        obj = json.loads(cli_stdout("relations", "--n", str(N), "--format", "json"))
+        assert obj["relations"] == [
+            [rat_to_str(w) for w in rel.coefficients] for rel in relations.relation_family(N)
+        ]
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from ezbasis.coeffs import (
     verify_power_sum_identity,
 )
 from ezbasis.errors import SingularMatrixError
+from ezbasis.exactnum import FaulhaberPoly, rat_to_str
 from ezbasis.relations import BasisRepresentation, RelationVector
 from ezbasis.trilinalg import invert_cofactor, invert_forward
 from golden_values import A1_12, A2_12, A_12
@@ -300,11 +301,15 @@ class TestInexactEntries:
             (lambda x: PoleRecord(2, x), r"residue"),
             (lambda x: ZetaShiftExpansion(1, (F(1, 2), x)), r"q_1"),
             (lambda x: BasisRepresentation(1, (x, F(3, 2))), r"gamma\[0\]"),
+            (lambda x: FaulhaberPoly(1, (F(1, 2), x, F(0))), r"coeffs\[1\]"),
+            (rat_to_str, r"value"),
         ],
-        ids=["RelationVector", "PoleRecord", "ZetaShiftExpansion", "BasisRepresentation"],
+        ids=["RelationVector", "PoleRecord", "ZetaShiftExpansion", "BasisRepresentation",
+             "FaulhaberPoly", "rat_to_str"],
     )
     def test_records_reject_them_by_field(self, build, field, bad):
-        # one rule for every exact field: the matrix's, and each record's
+        # one rule for every exact field: the matrix's, each record's and
+        # the text form's
         with pytest.raises(TypeError, match=rf"^{field} is a \w+, not an exact int or Fraction$"):
             build(bad)
 

@@ -364,18 +364,18 @@ def _reference_checks(N: int, s: complex, cutoff: int) -> list[tuple[str, float,
     torn = [eval_tornheim(d - 1, s, cutoff) for d in range(1, n_prime + 1)]
     out = []
 
-    def folded(name, rel):
+    def weighted(name, rel):
         value, bound = complex(0.0), 0.0
-        for p, w in enumerate(rel.folded_coefficients()):
+        for p, w in enumerate(rel.coefficients):
             if w != 0:
                 value += float(w) * ez[p].value
                 bound += abs(float(w)) * ez[p].tail_bound
         out.append((name, abs(value), bound))
 
     for idx, rel in enumerate(relation_family(N), start=1):
-        folded(f"relation {idx}", rel)
+        weighted(f"relation {idx}", rel)
     for m in range(m_top + 1):
-        folded(f"representation m={m}", basis_representation(m).as_relation_vector())
+        weighted(f"representation m={m}", basis_representation(m).as_relation_vector())
     for c in range(2 * n_prime):
         half = 2 if c == 0 else 1
         value, bound = ez[c].value / half, ez[c].tail_bound / half
@@ -489,7 +489,7 @@ class TestNumericVerify:
         public += [basis_representation(m).as_relation_vector() for m in range((N + 1) // 2)]
         for terms, rel in zip([*rels, *reps], public, strict=True):
             assert numeval._weights(terms) == [
-                (float(w), p) for p, w in enumerate(rel.folded_coefficients()) if w
+                (float(w), p) for p, w in enumerate(rel.coefficients) if w
             ]
 
     @pytest.mark.parametrize("N, s", [(9, 5.0), (12, complex(4, 3)), (13, 12.0)])

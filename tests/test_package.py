@@ -26,7 +26,7 @@ from ezbasis.analytic import (
 from ezbasis.coeffs import CoeffMatrix, PowerSumReport
 from ezbasis.exactnum import FaulhaberPoly
 from ezbasis.numeval import NumericCheck, NumericReport, NumericResult
-from ezbasis.relations import MATRIX_PATH, RESIDUE_PATH, BasisRepresentation, RelationVector
+from ezbasis.relations import BasisRepresentation, RelationVector
 
 
 def test_all_resolves_without_duplicates():
@@ -148,7 +148,7 @@ _RECORDS = [
     (PowerSumReport, {"e_max": 3, "failures": ()}),
     (FaulhaberPoly, {"c": 1, "coeffs": (F(1, 2), F(-1, 2), F(0))}),
     (RelationVector, {"coefficients": (F(1), F(-1))}),
-    (BasisRepresentation, {"m": 0, "gamma": (F(1, 2),), "provenance": RESIDUE_PATH}),
+    (BasisRepresentation, {"m": 0, "gamma": (F(1, 2),)}),
     (PoleRecord, {"location": 2, "residue": F(1, 3), "annotation": "x"}),
     (PoleTable, {"n": 1, "records": pole_table(1).records}),
     (ZetaShiftExpansion, {"c": 0, "q": (F(1), F(-1))}),
@@ -233,7 +233,9 @@ def test_records_share_eq_hash_and_repr():
 
 def test_record_defaults():
     assert PoleRecord(2, F(1, 3)).annotation == ""
-    assert BasisRepresentation(0, (F(1, 2),)).provenance == MATRIX_PATH
+    # the representation is its two fields: no route tag to default
+    with pytest.raises(TypeError):
+        BasisRepresentation(0, (F(1, 2),), "matrix_path")
 
 
 def test_record_repr_is_the_dataclass_text():

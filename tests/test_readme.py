@@ -1,0 +1,29 @@
+"""README's python examples run as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+_TEXT = _README.read_text(encoding="utf-8")
+# (first line number, source) of every ```python block
+_BLOCKS = [
+    (_TEXT.count("\n", 0, m.start(1)) + 1, m.group(1))
+    for m in re.finditer(r"^```python\n(.*?)^```$", _TEXT, re.M | re.S)
+]
+
+
+def test_readme_has_python_blocks():
+    assert _BLOCKS
+
+
+@pytest.mark.parametrize("line, source", _BLOCKS, ids=[f"line{n}" for n, _ in _BLOCKS])
+def test_python_block_runs(line, source, capsys):
+    # each block in a fresh namespace, so it must import what it uses;
+    # the padding makes a traceback name the README line
+    code = compile("\n" * (line - 1) + source, str(_README), "exec")
+    exec(code, {"__name__": "__readme__"})
+    assert capsys.readouterr().err == ""

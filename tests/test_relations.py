@@ -13,7 +13,6 @@ from ezbasis import analytic, coeffs, relations, trilinalg
 from ezbasis.coeffs import build_matrix_A, split_A1_A2
 from ezbasis.errors import VerificationError
 from ezbasis.relations import (
-    RESIDUE_PATH,
     BasisRepresentation,
     RelationVector,
     basis_representation,
@@ -42,10 +41,6 @@ class TestRelationVector:
         with pytest.raises(ValueError):
             RelationVector(coefficients=(F(0), F(0)))
 
-    def test_folded_halves_head_only(self):
-        r = RelationVector(coefficients=(F(1), F(-1), F(4)))
-        assert r.folded_coefficients() == (F(1, 2), F(-1), F(4))
-
     def test_frozen(self):
         r = RelationVector(coefficients=(F(1),))
         with pytest.raises(AttributeError):
@@ -61,30 +56,44 @@ class TestRelationFamily:
     def test_first_relation(self):
         # zeta(0,s)/2 - zeta(-1,s+1) = 0
         fam = relation_family(4)
-        assert fam[0].coefficients == (F(1), F(-1), F(0), F(0))
+        assert fam[0].coefficients == (F(1, 2), F(-1), F(0), F(0))
 
     def test_second_relation(self):
         fam = relation_family(4)
-        assert fam[1].coefficients == (F(1, 2), F(-1, 3), F(-1, 2), F(1, 3))
+        assert fam[1].coefficients == (F(1, 4), F(-1, 3), F(-1, 2), F(1, 3))
 
     def test_interleaving_matches_inverses(self):
+        # row i of A1^(-1) with entry 0 halved, and row i of -A2^(-1)
         fam = relation_family(12)
         for i in range(6):
-            for k in range(6):
+            assert fam[i].coefficients[0] == A1_INV_12[i][0] / 2
+            for k in range(1, 6):
                 assert fam[i].coefficients[2 * k] == A1_INV_12[i][k]
+            for k in range(6):
                 assert fam[i].coefficients[2 * k + 1] == -A2_INV_12[i][k]
 
     def test_interleaves_the_forward_inverses(self):
-        # the route the back-substitutions replaced: both inverses in full
+        # the route the back-substitutions replaced: both inverses in
+        # full, with entry 0 of each A1^(-1) row halved
         for N in range(2, 61):
             a1, a2 = split_A1_A2(build_matrix_A(N))
             inv1 = invert_forward(a1).entries
             inv2 = invert_forward(a2).entries
             expected = [
-                tuple(v for x, y in zip(r1, r2) for v in (x, -y))
+                tuple(v for x, y in zip((r1[0] / 2, *r1[1:]), r2) for v in (x, -y))
                 for r1, r2 in zip(inv1, inv2)
             ]
             assert [r.coefficients for r in relation_family(N)] == expected, f"N = {N}"
+
+    def test_halves_the_solved_head_only(self):
+        # the solve weighs zeta(0,s)/2; the family weighs zeta(0,s)
+        # itself, and every other position as solved
+        for N in (2, 3, 12, 13, 61):
+            rels, _ = relations._solved_rows(N // 2, range(0))
+            for rel, (x, dx, y, dy) in zip(relation_family(N), rels, strict=True):
+                solved = [v for k in range(len(x)) for v in (F(x[k], dx), F(-y[k], dy))]
+                solved += [F(0)] * (2 * (N // 2) - len(solved))
+                assert rel.coefficients == (solved[0] / 2, *solved[1:]), f"N = {N}"
 
     def test_imports_nothing_from_trilinalg(self):
         assert not any(
@@ -165,10 +174,14 @@ class TestBasisRepresentation:
         assert type(mixed.gamma[1]) is F
 
     def test_as_relation_vector(self):
+        # gamma = (-1/4, 3/2): -gamma[k] at 2k, the head included
         rel = basis_representation(1).as_relation_vector()
-        assert rel.coefficients == (F(1, 2), F(0), F(-3, 2), F(1))
-        # folded form halves the head
-        assert rel.folded_coefficients() == (F(1, 4), F(0), F(-3, 2), F(1))
+        assert rel.coefficients == (F(1, 4), F(0), F(-3, 2), F(1))
+        for m in (0, 5, 30):
+            rep = basis_representation(m)
+            coeffs = rep.as_relation_vector().coefficients
+            assert coeffs[0::2] == tuple(-g for g in rep.gamma)
+            assert coeffs[1::2] == (F(0),) * m + (F(1),)
 
     def test_json_dict(self, cli_stdout):
         d = json.loads(cli_stdout("basis", "--m", "1", "--format", "json"))
@@ -302,8 +315,7 @@ class TestResiduePath:
         for m in range(61):
             mat = basis_representation(m)
             res = residue_system_representation(m)
-            assert res.gamma == mat.gamma, f"m = {m}"
-            assert res.provenance == RESIDUE_PATH
+            assert res == mat, f"m = {m}"
 
     def test_integer_weights_match_the_binomials(self):
         # the three weights the solve takes as integers
