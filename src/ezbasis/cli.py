@@ -26,7 +26,7 @@ from .relations import function_label
 
 _FORMATS = ("text", "json", "latex", "csv")
 # numeric verification sums about 1.5 N series of `cutoff` terms each;
-# at the ceiling (N = 40, cutoff 10^6, complex s) a term costs 1.0-1.2 us
+# at the ceiling (N = 40, cutoff 10^6, complex s) a term costs about 0.8 us
 _NUMERIC_WORK_CEILING = 4 * 10**7
 
 

@@ -4,32 +4,37 @@ points.
 
 All inner sums (the power sums S_c(n) and the Tornheim convolutions)
 are carried in exact integer arithmetic and converted to float once per
-outer term; outer sums go through math.fsum, so float error never
-accumulates across terms: each term carries only the roundings of its
-own conversion and products, and the total one more.
+outer term, so each term carries only the roundings of its own
+conversion and products.
 
-Each series is a pipeline of C-level iterators rather than a Python
-loop.  The power sums are the running totals
-accumulate(m^c for m = 1, 2, ...); the Tornheim inner values come from
-the forward differences of the integer polynomial P = den * C_a at
-N = 2, one nested accumulate per order.  Each term is then
-float(v) * n^(-e), divided by den for Tornheim, and real s feeds the
-terms straight into fsum.  Complex s stores the magnitudes and
-multiplies them into the phase table exp(-i Im(s) log n), computed as
-cos and sin of -Im(s) log n, once for the real fsum and once for the
-imaginary one.
+Every series is summed by one loop over blocks of _BLOCK values of n:
+`numeric_verify` passes it all the series of a point, `eval_ez_double`
+and `eval_tornheim` one each.  Per block, C-level maps build the float
+bases n, for complex s the phases cos and sin of -Im(s) log n, and the
+integer powers m^c: the first shift with `pow`, each later one as the
+block list of the shift before times m.  The power sums continue from
+the last block as running totals (accumulate with an initial value),
+and the Tornheim values P(N) = den * C_a(N) from the forward
+differences of the integer polynomial P, an iterator that keeps its
+state between blocks.  zeta(-2a, s+2a) and T(-a, -a; s+2a) share the
+block's powers n^(-Re(s)-2a).  Each term is float(v) * n^(-Re(s)-e),
+divided by den for Tornheim, times the phases for complex s.
 
-`numeric_verify` walks the shifts e = 0, 1, ... once per point: the
-powers n^(-Re(s)-e) come from one float copy of the bases, and
-zeta(-2a, s+2a) and T(-a, -a; s+2a) share one table.  The phase table
-is kept for the last (Im s, cutoff).  `eval_ez_double` and
-`eval_tornheim` sum through the same `_sum_series`, so every value is
-the same bit for bit either way.  The identities' weights are the
-integer terms (p, n, d) of `relations._family_terms`, which the exact
-collapse reads too; n/d is one correctly rounded division, the float
-that the reduced `Fraction` gives.
+A block's terms are then reduced to their exact sum, held as a few
+floats: fsum of the terms minus the parts found so far, repeated until
+it returns 0.0 (two parts, as a rule).  A value is the fsum of all its
+parts.  fsum is correctly rounded and the parts add up exactly to the
+terms, so the value is the fsum of all the terms bit for bit, as if
+they had been stored; the tests check it against a term-by-term loop.
+Working memory is a few blocks at any cutoff, and nothing is cached
+between calls.
 
-The overflow guard is checked once per series.  A term takes the
+The identities' weights are the integer terms (p, n, d) of
+`relations._family_terms`, which the exact collapse reads too; n/d is
+one correctly rounded division, the float that the reduced `Fraction`
+gives.
+
+The overflow guard is decided once per series.  A term takes the
 plain formula when its inner integer has under 900 bits and
 e*log2(n) < 900.  Inner values increase with n, e is fixed, and
 log2 of distinct integers is far more than an ulp apart, so when the
@@ -62,11 +67,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
-from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import comb, gcd, lcm
-from operator import add, mul, truediv
+from operator import add, mul, neg, truediv
 
 from ._record import record
 from .coeffs import tornheim_decomposition
@@ -74,6 +77,7 @@ from .exactnum import _faulhaber_ints, bernoulli
 from .relations import _family_terms
 
 _SLACK = 17.0 / 16.0
+_BLOCK = 1024
 _MIN_SIGMA = 2.1
 
 
@@ -133,72 +137,27 @@ def _term_float(big: int, n: int, expo: float) -> float:
     return math.exp(math.log(big) - expo * math.log(n))
 
 
-@lru_cache(maxsize=1)
-def _phase_table(tau: float, cutoff: int) -> tuple[array, array]:
-    """Real and imaginary parts of exp(-i tau log n) for n = 2..cutoff.
+def _phases(tau: float, ns: range) -> tuple[list[float], list[float]]:
+    """Real and imaginary parts of exp(-i tau log n) for n in ns.
 
     They are cos and sin of -tau log n, bit for bit as cmath.exp gives
     them for the zero-real argument -i tau log n.
     """
-    angles = array("d", map(mul, repeat(-tau), map(math.log, range(2, cutoff + 1))))
-    return array("d", map(math.cos, angles)), array("d", map(math.sin, angles))
+    angles = list(map(mul, repeat(-tau), map(math.log, ns)))
+    return list(map(math.cos, angles)), list(map(math.sin, angles))
 
 
-def _powers(bases, expo: float):
-    """n^(-expo) for each float n of `bases`."""
-    return map(pow, bases, repeat(-expo))
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of `terms`.
 
-
-def _sum_series(s: complex, cutoff: int, shift: int, inner, top: int, den: int = 1,
-                powers=None) -> complex:
-    """fsum of v_n/den * n^(-s-shift) for n = 2..cutoff.
-
-    `inner` yields the exact positive integers v_2, ..., v_cutoff,
-    which increase with n, and `top` is at least v_cutoff.  `powers`,
-    when given, is `_powers` of the same n; otherwise they are streamed
-    from float bases.  Real s sums the magnitudes directly; complex s
-    multiplies them into the phase table of the point.
+    Each part is the correctly rounded fsum of the terms minus the parts
+    before it, until that is 0.0, which only an exact 0 rounds to.  The
+    negated parts are appended to `terms` on the way.
     """
-    expo = s.real + shift
-    ns = range(2, cutoff + 1)
-    if _plain_float_ok(top, cutoff, expo):
-        # the guard holds at every n <= cutoff, see module docstring
-        if powers is None:
-            powers = _powers(map(float, ns), expo)
-        mags = map(mul, map(float, inner), powers)
-    else:
-        mags = map(_term_float, inner, ns, repeat(expo))
-    if den != 1:
-        mags = map(truediv, mags, repeat(den))
-    if s.imag == 0.0:
-        return complex(math.fsum(mags), 0.0)
-    # the table first, so that its transient build and the stored
-    # magnitudes are not alive at the same time
-    re, im = _phase_table(s.imag, cutoff)
-    mags = array("d", mags)
-    return complex(math.fsum(map(mul, mags, re)), math.fsum(map(mul, mags, im)))
-
-
-def _ez_inner(c: int, cutoff: int):
-    """The power sums S_c(2..cutoff) as running totals, and S_c(cutoff)'s upper bound."""
-    # S_c(cutoff) has cutoff - 1 terms, each at most (cutoff - 1)^c
-    return accumulate(map(pow, range(1, cutoff), repeat(c))), (cutoff - 1) ** (c + 1)
-
-
-def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
-    """Truncated sum of zeta(-c, s+c) = sum_{n>=2} S_c(n) n^(-s-c).
-
-    The inner power sums are the running totals of m^c as exact
-    integers.  Requires Re(s) > 2.1, 2^(-Re(s)-c) > 0.0 in floats and
-    cutoff >= 10.
-    """
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    s = _check_domain(s, cutoff, shift=c)
-    return NumericResult(
-        value=_sum_series(s, cutoff, c, *_ez_inner(c, cutoff)),
-        tail_bound=_tail_bound(s.real, cutoff, c + 1),
-    )
+    count = len(terms)
+    while rest := math.fsum(terms):
+        terms.append(-rest)
+    return list(map(neg, terms[count:]))
 
 
 def _tornheim_poly(a: int) -> tuple[list[int], int]:
@@ -227,20 +186,92 @@ def _horner(poly: list[int], n: int) -> int:
     return acc
 
 
-def _tornheim_inner(a: int, cutoff: int):
-    """P(N) = den * C_a(N) for N = 2..cutoff, P(cutoff) as their top, and den."""
-    poly, den = _tornheim_poly(a)
-    # forward differences of P at N = 2: the last one is constant, and
-    # each lower order is the running total of the one above it
+def _tornheim_values(poly: list[int]):
+    """P(N) for N = 2, 3, ... from the forward differences of P at N = 2."""
+    # the last difference is constant, and each lower order is the
+    # running total of the one above it
     diffs = []
     row = [_horner(poly, n) for n in range(2, len(poly) + 2)]
     while row:
         diffs.append(row[0])
         row = [y - x for x, y in zip(row, row[1:])]
-    inner = repeat(diffs.pop())
+    values = repeat(diffs.pop())
     for start in reversed(diffs):
-        inner = accumulate(inner, initial=start)
-    return islice(inner, cutoff - 1), _horner(poly, cutoff), den
+        values = accumulate(values, initial=start)
+    return values
+
+
+def _block_values(s: complex, cutoff: int, ez: range, torn: range) -> list[complex]:
+    """zeta(-c, s+c) for c in ez, then T(-a, -a; s+2a) for a in torn.
+
+    Sums n = 2..cutoff block by block, see module docstring.  `ez` has
+    step 1, so that each power m^c is m^(c-1) times m.
+    """
+    sigma, tau = s.real, s.imag
+    # the guard of each series, decided at n = cutoff; S_c(cutoff) has
+    # cutoff - 1 terms, each at most (cutoff - 1)^c
+    ez_plain = [_plain_float_ok((cutoff - 1) ** (c + 1), cutoff, sigma + c) for c in ez]
+    forms = [_tornheim_poly(a) for a in torn]
+    torn_plain = [_plain_float_ok(_horner(poly, cutoff), cutoff, sigma + 2 * a)
+                  for a, (poly, _) in zip(torn, forms)]
+    torn_values = [_tornheim_values(poly) for poly, _ in forms]
+    totals = [0] * len(ez)  # S_c(lo - 1) at the block start lo
+    parts = [([], []) for _ in range(len(ez) + len(torn))]
+    shifts = sorted({*ez, *(2 * a for a in torn)})
+    for lo in range(2, cutoff + 1, _BLOCK):
+        ns = range(lo, min(lo + _BLOCK, cutoff + 1))
+        ms = range(lo - 1, ns.stop - 1)
+        bases = list(map(float, ns))
+        phases = _phases(tau, ns) if tau else None
+        pw = None
+        for e in shifts:
+            jobs = []  # (series index, exact inner values, plain formula, den)
+            if e in ez:
+                k = e - ez.start
+                pw = list(map(pow, ms, repeat(e))) if pw is None else list(map(mul, pw, ms))
+                inner = list(accumulate(pw, initial=totals[k]))
+                del inner[0]
+                totals[k] = inner[-1]
+                jobs.append((k, inner, ez_plain[k], 1))
+            if e % 2 == 0 and e // 2 in torn:
+                k = e // 2 - torn.start
+                inner = list(islice(torn_values[k], len(ns)))
+                jobs.append((len(ez) + k, inner, torn_plain[k], forms[k][1]))
+            expo = sigma + e
+            powers = None
+            for i, inner, plain, den in jobs:
+                if plain:
+                    # the guard holds at every n <= cutoff, see module docstring
+                    if powers is None:
+                        powers = list(map(pow, bases, repeat(-expo)))
+                    mags = map(mul, map(float, inner), powers)
+                else:
+                    mags = map(_term_float, inner, ns, repeat(expo))
+                if den != 1:
+                    mags = map(truediv, mags, repeat(den))
+                if phases is None:
+                    parts[i][0].extend(_exact_parts(list(mags)))
+                    continue
+                mags = list(mags)
+                for acc, phase in zip(parts[i], phases):
+                    acc.extend(_exact_parts(list(map(mul, mags, phase))))
+    return [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
+
+
+def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
+    """Truncated sum of zeta(-c, s+c) = sum_{n>=2} S_c(n) n^(-s-c).
+
+    The inner power sums are the running totals of m^c as exact
+    integers.  Requires Re(s) > 2.1, 2^(-Re(s)-c) > 0.0 in floats and
+    cutoff >= 10.
+    """
+    if c < 0:
+        raise ValueError("c must be >= 0")
+    s = _check_domain(s, cutoff, shift=c)
+    return NumericResult(
+        value=_block_values(s, cutoff, range(c, c + 1), range(0))[0],
+        tail_bound=_tail_bound(s.real, cutoff, c + 1),
+    )
 
 
 def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
@@ -254,29 +285,9 @@ def eval_tornheim(a: int, s: complex, cutoff: int) -> NumericResult:
         raise ValueError("a must be >= 0")
     s = _check_domain(s, cutoff, shift=2 * a)
     return NumericResult(
-        value=_sum_series(s, cutoff, 2 * a, *_tornheim_inner(a, cutoff)),
+        value=_block_values(s, cutoff, range(0), range(a, a + 1))[0],
         tail_bound=_tail_bound(s.real, cutoff, a + 1),
     )
-
-
-def _series_values(s: complex, cutoff: int, top_index: int, n_prime: int) -> list[complex]:
-    """zeta(-c, s+c) for c <= top_index, then T(-a, -a; s+2a) for a < n_prime.
-
-    The same values as `eval_ez_double` and `eval_tornheim`, bit for
-    bit.  The powers of each shift come from one float copy of the
-    bases, and the shift 2a computes its table once for zeta(-2a, s+2a)
-    and T(-a, -a; s+2a); that needs top_index >= 2 * n_prime - 2.
-    """
-    bases = array("d", range(2, cutoff + 1))
-    ez, torn = [], []
-    for e in range(top_index + 1):
-        # rebinding first frees the last table before the next is built
-        powers = _powers(bases, s.real + e)
-        if e % 2 == 0 and e // 2 < n_prime:
-            powers = array("d", powers)
-            torn.append(_sum_series(s, cutoff, e, *_tornheim_inner(e // 2, cutoff), powers=powers))
-        ez.append(_sum_series(s, cutoff, e, *_ez_inner(e, cutoff), powers=powers))
-    return ez + torn
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +469,7 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
             f"tol {tol} is not above the achievable bound {worst:.3e}; "
             "raise tol or the cutoff"
         )
-    values = _series_values(s, cutoff, top_index, n_prime)
+    values = _block_values(s, cutoff, range(top_index + 1), range(n_prime))
     checks = tuple(
         NumericCheck(name=name, residual=abs(combine(terms, values, 0j)), bound=bound)
         for (name, terms), bound in zip(plans, bounds)

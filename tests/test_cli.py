@@ -307,7 +307,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected tol must not sum any series")
 
-        monkeypatch.setattr(numeval, "_sum_series", refuse)
+        monkeypatch.setattr(numeval, "_block_values", refuse)
         code, out, err = run_cli(capsys, "verify", "--n", "30", "--mode", "numeric", "--s", "5")
         assert (code, out) == (2, "")
         assert err == (

@@ -4,8 +4,12 @@ verification layer."""
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
+import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
@@ -58,6 +62,7 @@ def _reference_sum_series(inner_at, s: complex, cutoff: int, shift: int, den: in
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
+@functools.cache
 def _reference_ez_double(c: int, s: complex, cutoff: int) -> complex:
     state = {"acc": 0}
 
@@ -68,6 +73,7 @@ def _reference_ez_double(c: int, s: complex, cutoff: int) -> complex:
     return _reference_sum_series(inner, complex(s), cutoff, shift=c)
 
 
+@functools.cache
 def _reference_tornheim(a: int, s: complex, cutoff: int) -> complex:
     poly, den = _tornheim_poly(a)
 
@@ -80,25 +86,36 @@ def _reference_tornheim(a: int, s: complex, cutoff: int) -> complex:
     return _reference_sum_series(inner, complex(s), cutoff, shift=2 * a, den=den)
 
 
+# the n-range 2..cutoff of the last three edge cutoffs ends one before,
+# at and one after the edge between the fourth and fifth block (the first
+# ends two before it); _THREE_BLOCKS reaches into a third block
+_BLOCK = numeval._BLOCK
+_EDGE_CUTOFFS = [4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, 4 * _BLOCK + 2]
+_THREE_BLOCKS = 2 * _BLOCK + 101
+
+
 class TestAgainstReferenceLoop:
-    """The iterator pipelines change no bit of any value."""
+    """The block loop changes no bit of any value."""
 
     @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0])
     def test_ez_double_bitwise(self, s):
-        for c in range(12):
-            assert eval_ez_double(c, s, 3_000).value == _reference_ez_double(c, s, 3_000)
+        for cutoff in (3_000, _THREE_BLOCKS):
+            for c in range(12):
+                assert eval_ez_double(c, s, cutoff).value == _reference_ez_double(c, s, cutoff)
 
     @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0])
     def test_tornheim_bitwise(self, s):
-        for a in range(6):
-            assert eval_tornheim(a, s, 3_000).value == _reference_tornheim(a, s, 3_000)
+        for cutoff in (3_000, _THREE_BLOCKS):
+            for a in range(6):
+                assert eval_tornheim(a, s, cutoff).value == _reference_tornheim(a, s, cutoff)
 
     @pytest.mark.parametrize("s", [3.0, complex(3, 2)])
     def test_guard_flips_inside_series(self, s):
         # at c = 90, sigma = 3 the per-term overflow guard fails from
         # n ~ 800 on, so the whole series takes the guarded fallback
-        assert eval_ez_double(90, s, 2_000).value == _reference_ez_double(90, s, 2_000)
-        assert eval_tornheim(40, s, 2_000).value == _reference_tornheim(40, s, 2_000)
+        for cutoff in (2_000, _THREE_BLOCKS):
+            assert eval_ez_double(90, s, cutoff).value == _reference_ez_double(90, s, cutoff)
+            assert eval_tornheim(40, s, cutoff).value == _reference_tornheim(40, s, cutoff)
 
     def test_short_series(self):
         # fewer terms than the Tornheim polynomial has differences
@@ -112,43 +129,120 @@ def _separate_values(s: complex, cutoff: int, top_index: int, n_prime: int) -> l
 
 
 class TestSeriesPlan:
-    """One pass per point gives every value of the per-series evaluators."""
+    """One loop over blocks gives every series of a point at once."""
 
     @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0, complex(3, 2)])
-    @pytest.mark.parametrize("cutoff", [10, 4_095, 4_096, 4_097, 20_001])
+    @pytest.mark.parametrize("cutoff", [10, *_EDGE_CUTOFFS, _THREE_BLOCKS, 20_001])
     def test_values_bitwise(self, s, cutoff):
         s = complex(s)
-        assert numeval._series_values(s, cutoff, 11, 6) == _separate_values(s, cutoff, 11, 6)
+        expected = [_reference_ez_double(c, s, cutoff) for c in range(12)]
+        expected += [_reference_tornheim(a, s, cutoff) for a in range(6)]
+        assert numeval._block_values(s, cutoff, range(12), range(6)) == expected
 
     @pytest.mark.parametrize("s", [3.0, complex(3, 2)])
     @pytest.mark.parametrize("cutoff, top_index, split", [(2_000, 90, []), (50, 157, [78])])
-    def test_guard_paths_under_one_table(self, s, cutoff, top_index, split):
+    def test_guard_paths_under_one_table(self, s, cutoff, top_index, split, monkeypatch):
         # at sigma = 3 the overflow guard fails for the larger shifts: at
         # cutoff 2000 for both series of a shift at once, at cutoff 50
         # for T(-78, -78; s+156) alone, while zeta(-156, s+156) keeps the
-        # plain formula and the table of shift 156
+        # plain formula and the powers of shift 156
         s = complex(s)
         n_prime = top_index // 2 + 1
+        ez_plain = [numeval._plain_float_ok((cutoff - 1) ** (c + 1), cutoff, s.real + c)
+                    for c in range(top_index + 1)]
+        torn_plain = []
+        for a in range(n_prime):
+            _, den = _tornheim_poly(a)
+            top = den * tornheim_inner_sum(a, cutoff)
+            torn_plain.append(numeval._plain_float_ok(top, cutoff, s.real + 2 * a))
+        assert split == [a for a in range(n_prime) if ez_plain[2 * a] != torn_plain[a]]
 
-        def plain(shift, inner_and_top):
-            return numeval._plain_float_ok(inner_and_top[1], cutoff, s.real + shift)
+        # the loop takes the guarded formula for exactly those series
+        guarded = Counter()
+        term_float = numeval._term_float
 
-        assert split == [
-            a for a in range(n_prime)
-            if plain(2 * a, numeval._ez_inner(2 * a, cutoff))
-            != plain(2 * a, numeval._tornheim_inner(a, cutoff))
-        ]
-        assert numeval._series_values(s, cutoff, top_index, n_prime) == (
-            _separate_values(s, cutoff, top_index, n_prime)
-        )
+        def counted(big, n, expo):
+            guarded[expo] += 1
+            return term_float(big, n, expo)
+
+        monkeypatch.setattr(numeval, "_term_float", counted)
+        values = numeval._block_values(s, cutoff, range(top_index + 1), range(n_prime))
+        expected = Counter()
+        for e in range(top_index + 1):
+            count = (not ez_plain[e]) + (e % 2 == 0 and e // 2 < n_prime and not torn_plain[e // 2])
+            if count:
+                expected[s.real + e] = count * (cutoff - 1)
+        assert guarded == expected
+        monkeypatch.undo()
+        assert values == _separate_values(s, cutoff, top_index, n_prime)
 
     @pytest.mark.parametrize("tau", [3.0, -2.5, 1e-3, 76.0, 1234.5])
     def test_phase_table_equals_cmath_exp(self, tau):
         cutoff = 5_000
         phases = [cmath.exp(-1j * tau * math.log(n)) for n in range(2, cutoff + 1)]
-        re, im = numeval._phase_table(tau, cutoff)
-        assert list(re) == [p.real for p in phases]
-        assert list(im) == [p.imag for p in phases]
+        re, im = numeval._phases(tau, range(2, cutoff + 1))
+        assert re == [p.real for p in phases]
+        assert im == [p.imag for p in phases]
+
+    def test_memory_flat_in_cutoff(self):
+        # the working set is a few blocks: quadrupling the cutoff leaves
+        # the traced peak nearly where it was, where tables of `cutoff`
+        # floats grow it nearly fourfold
+        numeric_verify(2, complex(4, 3), 1_000, 1e-6)  # imports and memos first
+        peaks = []
+        for cutoff in (2_500, 10_000):
+            tracemalloc.start()
+            try:
+                numeric_verify(2, complex(4, 3), cutoff, 1e-6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def _block_split(terms: list[float], rng: random.Random) -> list[list[float]]:
+    cuts = sorted(rng.sample(range(len(terms) + 1), rng.randint(0, min(4, len(terms) + 1))))
+    return [terms[i:j] for i, j in zip([0, *cuts], [*cuts, len(terms)])]
+
+
+def _random_terms(rng: random.Random) -> list[float]:
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**60, 1.0, -(2.0**60), 2.0**1000]
+    terms = []
+    for _ in range(rng.randint(0, 40)):
+        if rng.random() < 0.2:
+            terms.append(rng.choice(specials))
+        else:
+            terms.append(rng.choice((1.0, -1.0)) * math.ldexp(rng.random(), rng.randint(-1074, 1000)))
+    return terms
+
+
+class TestExactParts:
+    """A block's parts add up to the block exactly, so fsum of all parts is fsum of all terms."""
+
+    @pytest.mark.parametrize("terms", [
+        [2.0**60, 1.0, -(2.0**60)],
+        [1.0, 2.0**-1074, -1.0],
+        [5e-324] * 7 + [-5e-324] * 3,
+        [0.0, -0.0, 0.0],
+        [],
+        [2.0**1000, 2.0**-1074, -(2.0**1000), 3.0, 2.0**-600],
+    ])
+    def test_cases(self, terms):
+        parts = numeval._exact_parts(list(terms))
+        assert sum(map(Fraction, parts), Fraction(0)) == sum(map(Fraction, terms), Fraction(0))
+        assert math.fsum(parts) == math.fsum(terms)
+        assert 0.0 not in parts
+
+    def test_seeded_splits(self):
+        rng = random.Random(20_052_852)
+        for _ in range(300):
+            terms = _random_terms(rng)
+            parts = []
+            for block in _block_split(terms, rng):
+                found = numeval._exact_parts(list(block))
+                assert sum(map(Fraction, found), Fraction(0)) == sum(map(Fraction, block), Fraction(0))
+                parts += found
+            assert math.fsum(parts) == math.fsum(terms)
 
 
 class TestEvalEzDouble:
@@ -446,7 +540,7 @@ class TestNumericVerify:
         numeric_verify(6, 1069.0, 100, 1e-6)
         with monkeypatch.context() as mp:
             # rejected up front, before any series is summed
-            mp.setattr(numeval, "_sum_series", None)
+            mp.setattr(numeval, "_block_values", None)
             with pytest.raises(ValueError, match="underflows to 0.0"):
                 numeric_verify(8, 1069.0, 100, 1e-6)
         with pytest.raises(ValueError, match="underflows to 0.0"):
@@ -461,7 +555,7 @@ class TestNumericVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a rejected tol must not sum any series")
 
-        monkeypatch.setattr(numeval, "_sum_series", refuse)
+        monkeypatch.setattr(numeval, "_block_values", refuse)
         with pytest.raises(ValueError) as info:
             numeric_verify(30, 5.0, 100_000, 1e-6)
         assert str(info.value) == (
