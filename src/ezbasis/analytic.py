@@ -35,7 +35,7 @@ from math import comb, gcd, lcm
 from ._record import record
 from .coeffs import ZERO
 from .errors import VerificationError
-from .exactnum import _faulhaber_ints, _fraction, _ratio_str, bernoulli
+from .exactnum import _bernoulli_ints, _faulhaber_ints, _fraction, _ratio_str
 from .relations import RelationVector, _family_terms, function_label
 
 @record
@@ -108,14 +108,14 @@ def _catalog_ints(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
     by a trivial zero, hence the floor(n/2) count.  Since 2k-n < 0,
     binom(2k-n, 2k+1) = -C(n, 2k+1), and zeta(-2k-1) = -B_{2k+2}/(2k+2),
     so each residue is C(n, 2k+1) B_{2k+2} / (2k+2), reduced by one gcd.
-    Reads only `bernoulli` and `math.comb`, and builds no Fraction.
+    Reads only the Bernoulli table and `math.comb`, and builds no Fraction.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     residues = [(1, n + 1), (-1, 1 if n == 0 else 2)]
+    bden, bnums = _bernoulli_ints(n)
     for k in range(n // 2):
-        b = bernoulli(2 * k + 2)
-        num, den = comb(n, 2 * k + 1) * b.numerator, b.denominator * (2 * k + 2)
+        num, den = comb(n, 2 * k + 1) * bnums[2 * k + 2], bden * (2 * k + 2)
         g = gcd(num, den)
         residues.append((num // g, den // g))
     return (2, 1, *range(0, -2 * (n // 2), -2)), tuple(residues)

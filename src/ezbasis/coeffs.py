@@ -113,6 +113,8 @@ class CoeffMatrix:
 
     @classmethod
     def identity(cls, n: int) -> CoeffMatrix:
+        if n < 1:
+            raise ValueError("matrix dimensions must be positive")
         nums = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
         return cls._from_grids(nums, ((1,) * n,) * n)
 

@@ -6,8 +6,8 @@ at every interface; no float ever enters or leaves.  The inner loops do
 not add `Fraction`s, because each such add runs a gcd: the Bernoulli
 recurrence, the Faulhaber coefficients and Faulhaber evaluation work on
 integer numerators over one common denominator and build one `Fraction`
-per result.  The Bernoulli cache grows deterministically, a call for
-B_n filling the table up to n once.
+per result.  The Bernoulli numbers live in one integer table that grows
+deterministically, a call for B_n filling it up to n once.
 """
 
 from __future__ import annotations
@@ -54,65 +54,63 @@ def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-_bern_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-# the integer form (den, nums) of the cache, beside a copy of the cache
-# it was derived from, so that a replaced cache or entry is noticed
-_bern_ints: tuple[list[Fraction], int, list[int]] = ([], 1, [])
+# every B_k filled so far as (common denominator, integer numerators):
+# B_k = nums[k] / den, den the lcm of the reduced denominators.  A fill
+# replaces the tuple and never changes a list in place.
+_bern: tuple[int, list[int]] = (2, [2, -1])
 # the Pascal row C(r, 0..r) for r = len(_pascal_row) - 1, left by the last
 # fill for the next one; a row is never changed in place
 _pascal_row: list[int] = [1, 3, 3, 1]
 
 
-def _bernoulli_ints() -> tuple[int, list[int]]:
-    """Every cached B_k as (common denominator, integer numerators).
+def _bernoulli_ints(n: int) -> tuple[int, list[int]]:
+    """B_0..B_n and beyond as (common denominator, integer numerators).
 
-    `_bern_cache` stays the one source of the values: the stored integer
-    form is derived again whenever the cache no longer equals the copy
-    it was derived from.  Callers must not mutate the returned list.
+    Fills the table up to n once, by the defining recurrence
+    sum_{k=0}^{m} C(m+1, k) B_k = 0 solved for B_m.  The Pascal row
+    C(m+1, .) is carried from step to step, and from one fill to the
+    next, by integer adds, so each even m costs one integer dot product
+    and one gcd; B_m = 0 for odd m >= 3 only advances the row.  Callers
+    must not mutate the returned list.
     """
-    global _bern_ints
-    if _bern_ints[0] != _bern_cache:
-        _bern_ints = (list(_bern_cache), *_over_lcm(_bern_cache))
-    return _bern_ints[1], _bern_ints[2]
+    global _bern, _pascal_row
+    if n < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    den, nums = _bern
+    start = len(nums)
+    if start > n:
+        return _bern
+    nums = list(nums)
+    # row[k] = C(m+1, k) for k = 0..m+1
+    row = _pascal_row
+    if len(row) != start + 2:
+        row = [comb(start + 1, k) for k in range(start + 2)]
+    for m in range(start, n + 1):
+        if m % 2 and m > 1:
+            nums.append(0)
+        else:
+            # B_m = -acc / (den (m+1)); over the lcm of den and its reduced
+            # denominator that is -(acc/g) / (den (m+1)/g), g = gcd(acc, m+1)
+            acc = sum(map(mul, row, nums))
+            g = gcd(acc, m + 1)
+            scale = (m + 1) // g
+            if scale != 1:
+                nums = [x * scale for x in nums]
+                den *= scale
+            nums.append(-acc // g)
+        row = [1, *map(add, row, row[1:]), 1]
+    _bern, _pascal_row = (den, nums), row
+    return _bern
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the B_1 = -1/2 convention.
 
-    Computed by the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
-    and cached, so a call for B_n fills the table up to n once.  The
-    fill keeps every cached B_k as an integer numerator over the lcm
-    of their denominators, and carries the Pascal row C(m+1, .) from
-    step to step, and from one fill to the next, by integer adds, so
-    each step is one integer dot product; it stores that integer form
-    for `_bernoulli_ints`.
+    Read from the table of `_bernoulli_ints`, which a call for B_n fills
+    up to n once.
     """
-    global _bern_ints, _pascal_row
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if len(_bern_cache) <= n:
-        # B_k = nums[k] / den for every cached k
-        den, nums = _bernoulli_ints()
-        nums = list(nums)
-        start = len(_bern_cache)
-        # row[k] = C(m+1, k) for k = 0..m+1
-        row = _pascal_row
-        if len(row) != start + 2:
-            row = [comb(start + 1, k) for k in range(start + 2)]
-        for m in range(start, n + 1):
-            # sum_{k=0}^{m} C(m+1, k) B_k = 0, solved for B_m
-            acc = sum(map(mul, row, nums))
-            row = [1, *map(add, row, row[1:]), 1]
-            b = Fraction(-acc, den * (m + 1))
-            _bern_cache.append(b)
-            scale = b.denominator // gcd(den, b.denominator)
-            if scale != 1:
-                nums = [x * scale for x in nums]
-                den *= scale
-            nums.append(b.numerator * (den // b.denominator))
-        _bern_ints = (list(_bern_cache), den, nums)
-        _pascal_row = row
-    return _bern_cache[n]
+    den, nums = _bernoulli_ints(n)
+    return Fraction(nums[n], den)
 
 
 @record
@@ -161,8 +159,7 @@ def _faulhaber_ints(c: int) -> tuple[int, list[int]]:
     """
     if c < 0:
         raise ValueError("exponent must be >= 0")
-    bernoulli(c)
-    bden, bnums = _bernoulli_ints()
+    bden, bnums = _bernoulli_ints(c)
     den, nums, b = bden * (c + 1), [], 1
     for i, x in enumerate(bnums[: c + 1]):
         # b = C(c+1, i) by the multiplicative recurrence; B_i = 0 skips the product

@@ -161,6 +161,15 @@ class TestPoleTable:
             assert locations == pole_table(n).locations()
             assert all(q > 0 and gcd(p, q) == 1 for p, q in residues)
 
+    def test_integer_catalog_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the integer catalog must not build a Fraction")
+
+        expected = [analytic._catalog_ints(n) for n in range(61)]
+        monkeypatch.setattr(exactnum, "Fraction", refuse)
+        monkeypatch.setattr(analytic, "Fraction", refuse)
+        assert [analytic._catalog_ints.__wrapped__(n) for n in range(61)] == expected
+
     def test_record_keeps_fractions_and_converts_others(self):
         x = F(1, 6)
         assert PoleRecord(location=0, residue=x).residue is x

@@ -177,6 +177,12 @@ class TestCoeffMatrix:
             (F(0), F(1), F(0)),
             (F(0), F(0), F(1)),
         )
+        assert CoeffMatrix.identity(1) == CoeffMatrix.from_rows([[1]])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_identity_without_rows_rejected(self, n):
+        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+            CoeffMatrix.identity(n)
 
     def test_lower_triangular_detection(self):
         require_lower_triangular(CoeffMatrix.from_rows([[1, 0], [2, 3]]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -226,13 +226,15 @@ class TestIntegerKernels:
     @pytest.mark.parametrize("stops", [(200,), (1, 2, 3, 50, 51, 200)])
     def test_bernoulli_cold_fill_matches_fraction_recurrence(self, monkeypatch, stops):
         # a fresh table, filled in one go or in steps that resume from
-        # a partial cache whose common denominator must then grow
-        monkeypatch.setattr(exactnum, "_bern_cache", [F(1), F(-1, 2)])
+        # a partial table whose common denominator must then grow
+        monkeypatch.setattr(exactnum, "_bern", (2, [2, -1]))
         for n in stops:
             assert bernoulli(n) == _BERN_REF[n]
         got = [bernoulli(n) for n in range(201)]
         assert got == _BERN_REF
         assert all(type(b) is F for b in got)
+        # the one denominator is the lcm of the reduced ones, not a multiple
+        assert exactnum._bernoulli_ints(200)[0] == lcm(*(b.denominator for b in got))
 
     def test_bernoulli_fill_carries_the_pascal_row(self, monkeypatch):
         # math.comb builds a row only when no carried row fits; every
@@ -243,7 +245,7 @@ class TestIntegerKernels:
             calls.append((n, k))
             return comb(n, k)
 
-        monkeypatch.setattr(exactnum, "_bern_cache", [F(1), F(-1, 2)])
+        monkeypatch.setattr(exactnum, "_bern", (2, [2, -1]))
         monkeypatch.setattr(exactnum, "_pascal_row", [])
         monkeypatch.setattr(exactnum, "comb", counted)
         assert bernoulli(100) == _BERN_REF[100]
@@ -252,8 +254,9 @@ class TestIntegerKernels:
             assert bernoulli(n) == _BERN_REF[n]
         assert len(calls) == 4
         assert [bernoulli(n) for n in range(201)] == _BERN_REF
-        # a cache replaced by a shorter one gets a fresh row
-        monkeypatch.setattr(exactnum, "_bern_cache", exactnum._bern_cache[:51])
+        # a table replaced by a shorter one gets a fresh row
+        den, nums = exactnum._bern
+        monkeypatch.setattr(exactnum, "_bern", (den, nums[:51]))
         assert bernoulli(120) == _BERN_REF[120]
         assert calls[4:] == [(52, k) for k in range(53)]
 
@@ -270,8 +273,7 @@ class TestIntegerKernels:
 
     def test_faulhaber_ints_match_the_comb_per_entry_construction(self):
         # the construction the multiplicative binomial row replaced
-        bernoulli(300)
-        bden, bnums = exactnum._bernoulli_ints()
+        bden, bnums = exactnum._bernoulli_ints(300)
         for c in range(301):
             den = bden * (c + 1)
             nums = [comb(c + 1, i) * bnums[i] for i in range(c + 1)]
@@ -295,10 +297,10 @@ class TestIntegerKernels:
         self, monkeypatch, index, message
     ):
         # B_7 = 0: a nonzero value there is as wrong as a changed B_6
-        bernoulli(30)
-        cache = list(exactnum._bern_cache)
-        cache[index] += F(1, 7)
-        monkeypatch.setattr(exactnum, "_bern_cache", cache)
+        den, nums = exactnum._bernoulli_ints(30)
+        nums = list(nums)
+        nums[index] += den // 7  # B_index + 1/7
+        monkeypatch.setattr(exactnum, "_bern", (den, nums))
         for c in (index, index + 1, 20):
             with pytest.raises(ValueError, match=message):
                 exactnum._faulhaber_ints(c)
@@ -307,19 +309,6 @@ class TestIntegerKernels:
         if index >= 2:
             # rows below the corrupted index never read it
             exactnum._faulhaber_ints(index - 1)
-
-    def test_entry_replaced_in_place_is_noticed(self):
-        # the stored integer form must follow the live cache
-        exactnum._faulhaber_ints(20)
-        good = exactnum._bern_cache[6]
-        exactnum._bern_cache[6] = good + 1
-        try:
-            with pytest.raises(ValueError, match="n = 1"):
-                exactnum._faulhaber_ints(20)
-        finally:
-            exactnum._bern_cache[6] = good
-        den, nums = exactnum._faulhaber_ints(20)
-        assert tuple(F(x, den) for x in nums) == faulhaber(20).coeffs
 
     @pytest.mark.parametrize("c", [1, 2, 5, 40, 120])
     def test_perturbed_coefficient_still_rejected(self, c):

@@ -15,6 +15,7 @@ from math import comb, lcm
 
 import pytest
 
+import ezbasis.cli as cli
 import ezbasis.numeval as numeval
 import ezbasis.relations as relations
 from ezbasis.coeffs import tornheim_decomposition
@@ -599,3 +600,41 @@ class TestNumericVerify:
             numeric_verify(6, math.nan, 2_000, 1e-5)
         with pytest.raises(ValueError, match="s must be finite"):
             eval_ez_double(2, complex(5, math.inf), 2_000)
+
+
+# ROADMAP item 1: each check's bound sums truncation bounds, but the
+# truncated sums of a true identity cancel exactly, so its residual is
+# float rounding only; and the verdict compares the residual with an
+# absolute tol.  These verdicts are wrong today.  Each test asserts the
+# true verdict, and only the verdict, so that it passes, and so fails as
+# a strict xfail, once item 1 lands.
+_ITEM_1 = "ROADMAP item 1: numeric verdicts compare rounding with truncation bounds"
+
+
+class TestKnownFalseVerdicts:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=f"{_ITEM_1}; max residual 1.255e-04 prints FAIL")
+    def test_true_identities_pass_at_n30(self, capsys):
+        code = cli.run(["verify", "--n", "30", "--mode", "numeric", "--s", "12",
+                        "--cutoff", "20000"])
+        assert code == 0, capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=f"{_ITEM_1}; tol rejected against a truncation bound of 9.029e-06")
+    def test_tol_not_rejected_when_the_truncation_cancels(self, capsys):
+        code = cli.run(["verify", "--n", "20", "--mode", "numeric", "--s", "5",
+                        "--cutoff", "20000"])
+        assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=f"{_ITEM_1}; a wrong relation leaves 9.09e-13 at s = 40 and passes")
+    def test_wrong_relation_fails_at_large_s(self, monkeypatch):
+        # zeta(0,s)/2 - 3 zeta(-1,s+1) = 0 in place of relation 1
+        family_terms = numeval._family_terms
+
+        def wrong_first(n_rel, ms):
+            rels, reps = family_terms(n_rel, ms)
+            return [[(0, 1, 2), (1, -3, 1)], *list(rels)[1:]], reps
+
+        monkeypatch.setattr(numeval, "_family_terms", wrong_first)
+        assert not numeric_verify(2, 40.0, 100, 1e-6).passed
