@@ -2,8 +2,8 @@
 
 `record` gives a class whose body annotates its fields what
 `@dataclass(frozen=True)` gave it: an `__init__` taking the fields in
-order, with the class-level defaults, that runs `__post_init__` when the
-class defines one; value `__eq__` and `__hash__` over the field values,
+order, none defaulted, that runs `__post_init__` when the class defines
+one; value `__eq__` and `__hash__` over the field values,
 against instances of the same class only; the dataclass `repr` text;
 `__match_args__`; and `AttributeError` on assignment or deletion.  A
 `__post_init__` that normalises a field writes it with
@@ -57,16 +57,9 @@ def record(cls):
     names = tuple(cls.__dict__.get("__annotations__", ()))
     if "__init__" not in cls.__dict__:
         namespace = {"_setattr": object.__setattr__}
-        params = []
-        for name in names:
-            if name in cls.__dict__:
-                namespace[f"_d_{name}"] = cls.__dict__[name]
-                params.append(f"{name}=_d_{name}")
-            else:
-                params.append(name)
         sets = "".join(f"    _setattr(self, {name!r}, {name})\n" for name in names)
         post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-        exec(f"def __init__(self, {', '.join(params)}):\n{sets}{post}", namespace)
+        exec(f"def __init__(self, {', '.join(names)}):\n{sets}{post}", namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__

@@ -42,15 +42,13 @@ from .relations import RelationVector, _family_terms, function_label
 class PoleRecord:
     """A simple pole of one family member: location, exact residue.
 
-    `annotation` preserves the closed form of the residue for display
-    ("binom(-2,1)*zeta(-1)" and the like); the residue itself is always
-    the evaluated rational, never symbolic.  The location is one that a
-    residue formula gives: 2, 1 or a non-positive even integer.
+    The residue is the evaluated rational, never symbolic.  The location
+    is one that a residue formula gives: 2, 1 or a non-positive even
+    integer.
     """
 
     location: int
     residue: Fraction
-    annotation: str = ""
 
     def __post_init__(self) -> None:
         if type(self.residue) is not Fraction:
@@ -121,19 +119,12 @@ def _catalog_ints(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
     return (2, 1, *range(0, -2 * (n // 2), -2)), tuple(residues)
 
 
-def _note(n: int, k: int) -> str:
-    return f"binom({2 * k - n},{2 * k + 1})*zeta({-2 * k - 1})"
-
-
 def pole_table(n: int) -> PoleTable:
     """Direct catalog of the poles of zeta(-n, s+n): `_catalog_ints(n)` as records.
 
-    One Fraction per record; the annotation keeps the closed form of each
-    residue, `_note(n, k)` at s = -2k.
+    One Fraction per record.
     """
-    notes = [f"1/({n}+1)", "2*zeta(0)" if n == 0 else "zeta(0)"]
-    notes += (_note(n, k) for k in range(n // 2))
-    records = (PoleRecord(s, Fraction(*r), note) for s, r, note in zip(*_catalog_ints(n), notes))
+    records = (PoleRecord(s, Fraction(*r)) for s, r in zip(*_catalog_ints(n)))
     return PoleTable(n=n, records=tuple(records))
 
 
@@ -208,7 +199,7 @@ def residues_from_expansion(c: int) -> PoleTable:
     cancellation of the direct catalog.  These poles must equal
     `_catalog_ints(c)`, compared on integers with each q_j reduced by
     one gcd; a mismatch raises VerificationError.  Only a match builds
-    the table, one Fraction per record.
+    the table, one Fraction per record, and it equals `pole_table(c)`.
     """
     den, pairs = _expansion_ints(c)
     locations = tuple(2 - j for j, _ in pairs)
@@ -225,7 +216,7 @@ def residues_from_expansion(c: int) -> PoleTable:
                 f"residue mismatch for c = {c} at s = {location}: "
                 f"expansion {_ratio_str(*got)} vs direct {_ratio_str(*want)}"
             )
-    records = (PoleRecord(2 - j, Fraction(*r), f"q_{j}") for (j, _), r in zip(pairs, residues))
+    records = (PoleRecord(s, Fraction(*r)) for s, r in zip(locations, residues))
     return PoleTable(n=c, records=tuple(records))
 
 
@@ -330,4 +321,4 @@ def independence_witness(m: int) -> PoleRecord:
                 f"witness at s = {location} is not exclusive: "
                 f"{function_label(c)} shares it"
             )
-    return PoleRecord(location, Fraction(*residues[-1]), _note(2 * m, m - 1))
+    return PoleRecord(location, Fraction(*residues[-1]))

@@ -25,9 +25,12 @@ from .exactnum import _ratio_str, rat_to_str
 from .relations import function_label
 
 _FORMATS = ("text", "json", "latex", "csv")
-# numeric verification sums about 1.5 N series of `cutoff` terms each;
-# at the ceiling (N = 40, cutoff 10^6, complex s) a term costs about 0.8 us
+# numeric verification sums about 1.5 N series of `cutoff` terms each; a
+# term costs more as the degree of its series grows with N: about 0.7 us at
+# N = 40 (cutoff 10^6, s = 4+3i) and 4 us at N = 200 (cutoff 8000, s = 5)
 _NUMERIC_WORK_CEILING = 4 * 10**7
+# above N = 218 a weight of the family's identities overflows a float
+_NUMERIC_N_CEILING = 218
 
 
 def _parse_complex(text: str) -> complex:
@@ -281,21 +284,32 @@ def _cmd_basis(ns: argparse.Namespace) -> tuple[str, int]:
     return _equation(target, pairs, latex=ns.fmt == "latex"), 0
 
 
+def _residue_form(n: int, location: int) -> str:
+    """The closed form of the residue of zeta(-n, s+n) at s = location.
+
+    At s = -2k it is binom(2k-n, 2k+1)*zeta(-2k-1).
+    """
+    if location == 2:
+        return f"1/({n}+1)"
+    if location == 1:
+        return "2*zeta(0)" if n == 0 else "zeta(0)"
+    return f"binom({-location - n},{1 - location})*zeta({location - 1})"
+
+
 def _cmd_poles(ns: argparse.Namespace) -> tuple[str, int]:
     table = analytic.pole_table(ns.n)
-    poles = [(r.location, rat_to_str(r.residue), r.annotation) for r in table.records]
+    poles = [(r.location, rat_to_str(r.residue)) for r in table.records]
     if ns.fmt == "json":
-        obj = {"n": table.n, "poles": [{"s": s, "residue": res} for s, res, _ in poles]}
+        obj = {"n": table.n, "poles": [{"s": s, "residue": res} for s, res in poles]}
         return _json_text(obj), 0
     if ns.fmt == "latex":
         lines = [f" \\text{{at}} & s={s}, & \\text{{residue}} & {res}, \\\\"
-                 for s, res, _ in poles]
+                 for s, res in poles]
         return "\n".join(["\\begin{array}{cccc}", *lines, "\\end{array}"]), 0
     if ns.fmt == "csv":
-        return _csv_text(["s", "residue"], [[s, res] for s, res, _ in poles]), 0
+        return _csv_text(["s", "residue"], poles), 0
     lines = [f"poles of {function_label(table.n)}:"]
-    for s, res, note in poles:
-        lines.append(f"  s = {s:>3}   residue {res}" + (f"  [{note}]" if note else ""))
+    lines += (f"  s = {s:>3}   residue {res}  [{_residue_form(table.n, s)}]" for s, res in poles)
     return "\n".join(lines), 0
 
 
@@ -365,6 +379,11 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(
             f"--n {ns.n} times --cutoff {ns.cutoff} is above the ceiling "
             f"{_NUMERIC_WORK_CEILING:.0e} of numeric verification; lower either"
+        )
+    if ns.verify_mode != "exact" and ns.n > _NUMERIC_N_CEILING:
+        raise ValueError(
+            f"--n {ns.n} is above the ceiling {_NUMERIC_N_CEILING} of numeric "
+            "verification (a weight of the identities overflows a float); use --mode exact"
         )
     lines: list[str] = []
     obj: dict = {"mode": ns.verify_mode, "n": ns.n}

@@ -60,7 +60,8 @@ never understate the truth.  The enforced margin Re(s) > 2.1 keeps
 sigma - 2 away from zero so the bound stays meaningful.  At the other
 end, a point is rejected once the first term 2^(-sigma-c) of the
 largest-shift series underflows to 0.0, since every term of that
-series would then be 0.0 and its identities would hold trivially.
+series would then be 0.0 and its identities would hold trivially, and
+so is an Im(s) whose phase Im(s)*log(cutoff) is not finite.
 """
 
 from __future__ import annotations
@@ -117,6 +118,10 @@ def _check_domain(s: complex, cutoff: int, shift: int) -> complex:
         )
     if cutoff < 10:
         raise ValueError("cutoff must be >= 10")
+    if not math.isfinite(s.imag * math.log(cutoff)):
+        raise ValueError(
+            f"Im(s) = {s.imag} is too large: the phase Im(s)*log(cutoff) is not finite"
+        )
     return s
 
 
@@ -262,8 +267,8 @@ def eval_ez_double(c: int, s: complex, cutoff: int) -> NumericResult:
     """Truncated sum of zeta(-c, s+c) = sum_{n>=2} S_c(n) n^(-s-c).
 
     The inner power sums are the running totals of m^c as exact
-    integers.  Requires Re(s) > 2.1, 2^(-Re(s)-c) > 0.0 in floats and
-    cutoff >= 10.
+    integers.  Requires Re(s) > 2.1, 2^(-Re(s)-c) > 0.0 in floats,
+    cutoff >= 10 and a finite phase Im(s)*log(cutoff).
     """
     if c < 0:
         raise ValueError("c must be >= 0")
@@ -425,7 +430,9 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     are closed forms, so tol at or below the largest of them is
     rejected before any series is summed, since a failure could then
     never be attributed to a wrong identity; so is an infinite tol,
-    under which nothing could fail.
+    under which nothing could fail.  An N so large that a weight of
+    its identities overflows a float raises ValueError naming N, also
+    before any series is summed.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -444,8 +451,14 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
     # T(-a, -a; s+2a) for a < n_prime at index torn + a
     torn = top_index + 1
     rels, reps = _family_terms(n_prime, range(m_top + 1))
-    plans = [(f"relation {i}", _weights(terms)) for i, terms in enumerate(rels, start=1)]
-    plans += [(f"representation m={m}", _weights(terms)) for m, terms in enumerate(reps)]
+    try:
+        plans = [(f"relation {i}", _weights(terms)) for i, terms in enumerate(rels, start=1)]
+        plans += [(f"representation m={m}", _weights(terms)) for m, terms in enumerate(reps)]
+    except OverflowError:
+        raise ValueError(
+            f"N = {N} is too large for numeric verification: "
+            "a weight of its identities overflows a float"
+        ) from None
     for c in range(2 * n_prime):
         # zeta(0,s)/2 for c = 0, minus the Tornheim side
         terms = [(0.5 if c == 0 else 1.0, c)]

@@ -109,13 +109,14 @@ def gen_binomial(x: Fraction | int, k: int) -> Fraction:
 
 
 def pole_table(n: int) -> tuple[tuple[int, Fraction, str], ...]:
-    """The poles of zeta(-n, s+n) as (location, residue, annotation) records.
+    """The poles of zeta(-n, s+n) as (location, residue, closed form) triples.
 
     The construction that `analytic.pole_table` used before it read an
     integer catalog: one `Fraction` per record, C(n, 2k+1) B_{2k+2} /
     (2k+2) at s = -2k from `math.comb` and the Bernoulli numerator and
-    denominator.  Each record is a tuple in the field order of
-    `PoleRecord`, which this module does not import.
+    denominator.  The first two entries are the fields of `PoleRecord`,
+    which this module does not import; the closed form is the note that
+    `poles` text output writes beside each residue.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -130,14 +131,14 @@ def pole_table(n: int) -> tuple[tuple[int, Fraction, str], ...]:
     return tuple(records)
 
 
-def residues_from_expansion(c: int, q: Sequence[Fraction]) -> tuple[tuple[int, Fraction, str], ...]:
+def residues_from_expansion(c: int, q: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
     """The poles that the expansion q of zeta(-c, s+c) implies, checked against `pole_table(c)`.
 
-    Each nonzero q_j gives the record (2-j, q_j, "q_j"), compared with
-    the catalog record by record as `Fraction`s.  A mismatch raises
+    Each nonzero q_j gives the record (2-j, q_j), compared with the
+    catalog record by record as `Fraction`s.  A mismatch raises
     AssertionError with the text of the library's VerificationError.
     """
-    records = tuple((2 - j, qj, f"q_{j}") for j, qj in enumerate(q) if qj)
+    records = tuple((2 - j, qj) for j, qj in enumerate(q) if qj)
     direct = pole_table(c)
     locations = tuple(r[0] for r in records)
     direct_locations = tuple(r[0] for r in direct)

@@ -151,8 +151,7 @@ class TestPoleTable:
     def test_equals_the_fraction_per_record_construction(self):
         for n in range(301):
             records = pole_table(n).records
-            # record equality compares the annotations too
-            assert records == tuple(PoleRecord(*r) for r in reference.pole_table(n))
+            assert records == tuple(PoleRecord(s, res) for s, res, _ in reference.pole_table(n))
             assert all(type(r.residue) is F for r in records)
 
     def test_integer_catalog_is_reduced(self):
@@ -314,13 +313,9 @@ class TestZetaShiftExpansion:
 
 
 class TestResiduesFromExpansion:
-    def test_agrees_with_direct_catalog(self):
-        for c in range(31):
-            rebuilt = residues_from_expansion(c)
-            direct = pole_table(c)
-            assert rebuilt.locations() == direct.locations()
-            for loc in rebuilt.locations():
-                assert rebuilt.residue_at(loc) == direct.residue_at(loc)
+    def test_equals_direct_catalog(self):
+        for c in range(121):
+            assert residues_from_expansion(c) == pole_table(c)
 
     def test_pinned_c4(self):
         t = residues_from_expansion(4)
@@ -568,7 +563,6 @@ class TestIndependenceWitness:
             raise AssertionError("the witness must not build a pole table")
 
         monkeypatch.setattr(analytic, "pole_table", refuse)
-        # record equality compares the annotations too
         assert [independence_witness(m) for m in range(1, 61)] == [t.records[-1] for t in tables]
         # on a warm catalog, the one Fraction of the returned record
         assert all(_fraction_news(lambda: independence_witness(m)) == 1 for m in range(1, 61))

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.exactnum import rat_to_str
 from ezbasis.trilinalg import invert_forward
 from golden_values import BASIS_LATEX_M5, CLI_STDOUT, MATRIX_CLI_SHA256
+import reference
 from reference import matrix_from_json
 from test_relations import _corrupt_row
 
@@ -204,6 +206,14 @@ class TestPoles:
         code, out, _ = run_cli(capsys, "poles", "--n", "0")
         assert code == 0
         assert out.splitlines()[0] == "poles of zeta(0,s):"
+
+    def test_text_notes_are_the_closed_forms(self, capsys):
+        for n in range(301):
+            code, out, err = run_cli(capsys, "poles", "--n", str(n))
+            assert (code, err) == (0, "")
+            expected = [f"  s = {s:>3}   residue {rat_to_str(res)}  [{form}]"
+                        for s, res, form in reference.pole_table(n)]
+            assert out.splitlines()[1:] == expected, n
 
 
 class TestExpand:
@@ -454,6 +464,21 @@ class TestCeilings:
         )
         assert (code, out) == (2, "")
         assert "--n 600 times --cutoff 70000 is above the ceiling" in err
+
+    @pytest.mark.parametrize("mode", ["numeric", "all"])
+    @pytest.mark.parametrize("n", [219, 600])
+    def test_numeric_size_ceiling(self, capsys, monkeypatch, mode, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may run above the ceiling")
+
+        monkeypatch.setattr(numeval, "numeric_verify", refuse)
+        monkeypatch.setattr(cli.analytic, "verify_relations_exact", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--n", str(n), "--mode", mode, "--cutoff", "10")
+        assert time.perf_counter() - start < 0.05
+        assert (code, out) == (2, "")
+        assert err == (f"ezbasis: --n {n} is above the ceiling 218 of numeric verification "
+                       "(a weight of the identities overflows a float); use --mode exact\n")
 
     def test_exact_mode_ignores_the_numeric_ceiling(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_verify_exact", lambda n: (["stub"], {}, True))

@@ -38,13 +38,14 @@ _SIZE_OPTIONS = [
 # "１２" is 12 in full-width digits, which int() reads
 _ODD_SIZES = ["-1", "0", "1_000", "0x10", "１２", "", " 5"]
 
-# (argv before the value, option)
-_FLOAT_OPTIONS = [
-    ((*_NUMERIC, "--cutoff", "200", "--tol", "1e-2"), "--s"),
-    ((*_NUMERIC, "--cutoff", "200"), "--tol"),
-    ((*_NUMERIC, "--tol", "1e-2"), "--cutoff"),
-]
 _ODD_FLOATS = ["nan", "inf", "-inf", "-0", "1e300", "1e-320", "2.1", "4+3i", "-4+3i"]
+# (argv before the value, option, values); Im(s) = 1e308 makes the phase
+# Im(s)*log(n) overflow
+_FLOAT_OPTIONS = [
+    ((*_NUMERIC, "--cutoff", "200", "--tol", "1e-2"), "--s", [*_ODD_FLOATS, "5+1e308j"]),
+    ((*_NUMERIC, "--cutoff", "200"), "--tol", _ODD_FLOATS),
+    ((*_NUMERIC, "--tol", "1e-2"), "--cutoff", _ODD_FLOATS),
+]
 
 
 def _cases():
@@ -56,9 +57,9 @@ def _cases():
                 yield [*head, option, value, "--format", fmt], False
             for value in (ceiling + 1, 10**40):
                 yield [*head, option, str(value), "--format", fmt], True
-    for head, option in _FLOAT_OPTIONS:
+    for head, option, values in _FLOAT_OPTIONS:
         for fmt in _VERIFY_FORMATS:
-            for value in _ODD_FLOATS:
+            for value in values:
                 yield [*head, option, value, "--format", fmt], False
 
 
@@ -80,3 +81,10 @@ def test_odd_input_exits_cleanly(capsys, argv, past_ceiling):
     if past_ceiling:
         assert code == 2 and "above the ceiling" in err, err
         assert seconds < 0.05
+
+
+def test_overflowing_phase_names_im_s(capsys):
+    code = cli.run([*_NUMERIC, "--s", "5+1e308j", "--cutoff", "100", "--tol", "1e-2"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "ezbasis: Im(s) = 1e+308 is too large: "
+               "the phase Im(s)*log(cutoff) is not finite\n")

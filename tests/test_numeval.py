@@ -601,6 +601,40 @@ class TestNumericVerify:
         with pytest.raises(ValueError, match="s must be finite"):
             eval_ez_double(2, complex(5, math.inf), 2_000)
 
+    def test_overflowing_phase_rejected(self):
+        # Im(s) * log(100) is inf, so every cosine would be of inf
+        message = (r"^Im\(s\) = 1e\+308 is too large: "
+                   r"the phase Im\(s\)\*log\(cutoff\) is not finite$")
+        for evaluate in (eval_ez_double, eval_tornheim):
+            with pytest.raises(ValueError, match=message):
+                evaluate(0, complex(5, 1e308), 100)
+        with pytest.raises(ValueError, match=message):
+            numeric_verify(4, complex(5, 1e308), 100, 1e-2)
+        assert eval_ez_double(0, complex(5, 1e300), 100).tail_bound > 0
+
+    def test_weights_fit_a_float_up_to_the_cli_ceiling(self):
+        def fit(N):
+            rels, reps = relations._family_terms(N // 2, range((N + 1) // 2))
+            try:
+                for terms in (*rels, *reps):
+                    numeval._weights(terms)
+            except OverflowError:
+                return False
+            return True
+
+        assert cli._NUMERIC_N_CEILING == 218
+        assert fit(218)
+        assert not fit(219)
+
+    def test_weight_overflow_rejected_before_any_series_is_summed(self, monkeypatch):
+        monkeypatch.setattr(numeval, "_block_values", None)
+        with pytest.raises(ValueError) as info:
+            numeric_verify(219, 5, 10, 1e300)
+        assert str(info.value) == (
+            "N = 219 is too large for numeric verification: "
+            "a weight of its identities overflows a float"
+        )
+
 
 # ROADMAP item 1: each check's bound sums truncation bounds, but the
 # truncated sums of a true identity cancel exactly, so its residual is

@@ -149,7 +149,7 @@ _RECORDS = [
     (FaulhaberPoly, {"c": 1, "coeffs": (F(1, 2), F(-1, 2), F(0))}),
     (RelationVector, {"coefficients": (F(1), F(-1))}),
     (BasisRepresentation, {"m": 0, "gamma": (F(1, 2),)}),
-    (PoleRecord, {"location": 2, "residue": F(1, 3), "annotation": "x"}),
+    (PoleRecord, {"location": 2, "residue": F(1, 3)}),
     (PoleTable, {"n": 1, "records": pole_table(1).records}),
     (ZetaShiftExpansion, {"c": 0, "q": (F(1), F(-1))}),
     (ExactRelationReport, {"n": 4, "relations_checked": 2,
@@ -231,14 +231,19 @@ def test_records_share_eq_hash_and_repr():
     assert len(inits) == len(_RECORDS)
 
 
-def test_record_defaults():
-    assert PoleRecord(2, F(1, 3)).annotation == ""
+def test_records_have_no_defaults():
+    # every field is required: leaving out the last one raises
+    for cls, kwargs in _RECORDS:
+        *head, last = kwargs
+        with pytest.raises(TypeError, match=repr(last)):
+            cls(**{name: kwargs[name] for name in head})
+    # the pole is its two fields: no display text to default
+    with pytest.raises(TypeError):
+        PoleRecord(2, F(1, 3), "1/(2+1)")
     # the representation is its two fields: no route tag to default
     with pytest.raises(TypeError):
         BasisRepresentation(0, (F(1, 2),), "matrix_path")
 
 
 def test_record_repr_is_the_dataclass_text():
-    assert repr(PoleRecord(2, F(1, 3))) == (
-        "PoleRecord(location=2, residue=Fraction(1, 3), annotation='')"
-    )
+    assert repr(PoleRecord(2, F(1, 3))) == "PoleRecord(location=2, residue=Fraction(1, 3))"
