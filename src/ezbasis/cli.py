@@ -385,19 +385,21 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
             f"--n {ns.n} is above the ceiling {_NUMERIC_N_CEILING} of numeric "
             "verification (a weight of the identities overflows a float); use --mode exact"
         )
+    # the numeric part runs first, so that its input is rejected before
+    # the exact part's work; both print in the order exact, numeric
+    parts = {}
+    if ns.verify_mode in ("numeric", "all"):
+        parts["numeric"] = _verify_numeric(ns)
+    if ns.verify_mode in ("exact", "all"):
+        parts["exact"] = _verify_exact(ns.n)
     lines: list[str] = []
     obj: dict = {"mode": ns.verify_mode, "n": ns.n}
     ok = True
-    if ns.verify_mode in ("exact", "all"):
-        el, eo, eok = _verify_exact(ns.n)
-        lines += el
-        obj["exact"] = eo
-        ok = ok and eok
-    if ns.verify_mode in ("numeric", "all"):
-        nl, no, nok = _verify_numeric(ns)
-        lines += nl
-        obj["numeric"] = no
-        ok = ok and nok
+    for key in ("exact", "numeric"):
+        if key in parts:
+            part_lines, obj[key], part_ok = parts[key]
+            lines += part_lines
+            ok = ok and part_ok
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     obj["passed"] = ok
     out = _json_text(obj) if ns.fmt == "json" else "\n".join(lines)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 
 from ._record import record
@@ -54,13 +54,11 @@ def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-# every B_k filled so far as (common denominator, integer numerators):
-# B_k = nums[k] / den, den the lcm of the reduced denominators.  A fill
-# replaces the tuple and never changes a list in place.
-_bern: tuple[int, list[int]] = (2, [2, -1])
-# the Pascal row C(r, 0..r) for r = len(_pascal_row) - 1, left by the last
-# fill for the next one; a row is never changed in place
-_pascal_row: list[int] = [1, 3, 3, 1]
+# every B_k filled so far as (common denominator, integer numerators,
+# Pascal row): B_k = nums[k] / den, den the lcm of the reduced
+# denominators, and row = C(len(nums) + 1, .), the row the next fill
+# starts from.  A fill replaces the tuple and never changes a list in place.
+_bern: tuple[int, list[int], list[int]] = (2, [2, -1], [1, 3, 3, 1])
 
 
 def _bernoulli_ints(n: int) -> tuple[int, list[int]]:
@@ -69,22 +67,19 @@ def _bernoulli_ints(n: int) -> tuple[int, list[int]]:
     Fills the table up to n once, by the defining recurrence
     sum_{k=0}^{m} C(m+1, k) B_k = 0 solved for B_m.  The Pascal row
     C(m+1, .) is carried from step to step, and from one fill to the
-    next, by integer adds, so each even m costs one integer dot product
-    and one gcd; B_m = 0 for odd m >= 3 only advances the row.  Callers
-    must not mutate the returned list.
+    next in the table, by integer adds, so each even m costs one integer
+    dot product and one gcd; B_m = 0 for odd m >= 3 only advances the
+    row.  Callers must not mutate the returned list.
     """
-    global _bern, _pascal_row
+    global _bern
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    den, nums = _bern
+    den, nums, row = _bern
     start = len(nums)
     if start > n:
-        return _bern
+        return den, nums
     nums = list(nums)
     # row[k] = C(m+1, k) for k = 0..m+1
-    row = _pascal_row
-    if len(row) != start + 2:
-        row = [comb(start + 1, k) for k in range(start + 2)]
     for m in range(start, n + 1):
         if m % 2 and m > 1:
             nums.append(0)
@@ -99,8 +94,8 @@ def _bernoulli_ints(n: int) -> tuple[int, list[int]]:
                 den *= scale
             nums.append(-acc // g)
         row = [1, *map(add, row, row[1:]), 1]
-    _bern, _pascal_row = (den, nums), row
-    return _bern
+    _bern = (den, nums, row)
+    return den, nums
 
 
 def bernoulli(n: int) -> Fraction:

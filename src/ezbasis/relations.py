@@ -88,41 +88,29 @@ def _family_terms(n_rel: int, ms: range) -> tuple[Iterator[list], Iterator[list]
     i is x/dx on the even and -y/dy on the odd positions; representation
     m is -x/d on the even positions and 1 on 2m+1.  The solve's x_0
     weighs zeta(0,s)/2, so position 0 takes x_0/(2d) here, the one place
-    it is halved.  Each row of `_solved_rows` is laid out only when its
-    generator reaches it.
-    """
-    rels, reps = _solved_rows(n_rel, ms)
-    rel_terms = (
-        [(0, x[0], 2 * dx), (1, -y[0], dy)]
-        + [t for k in range(1, len(x)) for t in ((2 * k, x[k], dx), (2 * k + 1, -y[k], dy))]
-        for x, dx, y, dy in rels
-    )
-    rep_terms = (
-        [(0, -x[0], 2 * d)] + [(2 * k, -x[k], d) for k in range(1, m + 1)]
-        + [(2 * m + 1, 1, 1)]
-        for m, (x, d) in zip(ms, reps)
-    )
-    return rel_terms, rep_terms
-
-
-def _solved_rows(n_rel: int, ms: range) -> tuple[list, list]:
-    """`_solve_left`'s integer rows of relations 1..n_rel and representations m in ms.
-
-    Relation i+1 is (x, dx, y, dy), with (x/dx) * A1 = e_i = (y/dy) * A2.
-    Representation m is (x, d) as in `basis_representation`, checked by
-    `_check_gamma`.  `_family_terms` lays both out over the family.
+    it is halved.  Relation i+1 solves (x/dx) * A1 = e_i = (y/dy) * A2;
+    representation m solves as in `basis_representation` and is checked
+    by `_check_gamma`.  Each row is solved only when its generator
+    reaches it, so one solved row is held at a time.
     """
     cols1, cols2 = _columns(1, max(n_rel, ms.stop)), _columns(2, n_rel)
-    rels = []
-    for i in range(n_rel):
-        unit, where = [0] * i + [1], f"relation {i + 1}"
-        rels.append((*_solve_left(cols1, unit, 1, where), *_solve_left(cols2, unit, 2, where)))
-    reps = []
-    for m in ms:
-        x, d = _solve_left(cols1, coeff_row(2 * m + 2), 1, f"m = {m}")
-        _check_gamma(m, x, d)
-        reps.append((x, d))
-    return rels, reps
+
+    def rel_terms():
+        for i in range(n_rel):
+            unit, where = [0] * i + [1], f"relation {i + 1}"
+            x, dx = _solve_left(cols1, unit, 1, where)
+            y, dy = _solve_left(cols2, unit, 2, where)
+            yield [(0, x[0], 2 * dx), (1, -y[0], dy)] + [
+                t for k in range(1, len(x)) for t in ((2 * k, x[k], dx), (2 * k + 1, -y[k], dy))]
+
+    def rep_terms():
+        for m in ms:
+            x, d = _solve_left(cols1, coeff_row(2 * m + 2), 1, f"m = {m}")
+            _check_gamma(m, x, d)
+            yield ([(0, -x[0], 2 * d)] + [(2 * k, -x[k], d) for k in range(1, m + 1)]
+                   + [(2 * m + 1, 1, 1)])
+
+    return rel_terms(), rep_terms()
 
 
 def _columns(half: int, n: int) -> list[list[int]]:

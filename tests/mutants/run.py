@@ -95,6 +95,20 @@ MUTANTS = [
          "tests/test_analytic.py::TestVerifyRelationsExact"),
     ),
     Mutant(
+        "relation-generator-one-row-short",
+        "src/ezbasis/relations.py",
+        "        for i in range(n_rel):\n",
+        "        for i in range(n_rel - 1):\n",
+        ("tests/test_analytic.py::TestVerifyRelationsExact",),
+    ),
+    Mutant(
+        "representation-gamma-unchecked",
+        "src/ezbasis/relations.py",
+        "            _check_gamma(m, x, d)\n",
+        "",
+        ("tests/test_cli.py::TestVerifyExactMutants::test_corrupted_coefficient_row",),
+    ),
+    Mutant(
         "mat-mul-span-one-short",
         "src/ezbasis/trilinalg.py",
         "    hi = nonzero.rfind(1) + 1\n",

@@ -490,8 +490,7 @@ class TestCollapseAgainstFractionLoop:
         for name, obj in vars(trilinalg).items():
             if inspect.isfunction(obj) and obj.__module__ == trilinalg.__name__:
                 monkeypatch.setattr(trilinalg, name, refuse)
-        for name in ("relation_family", "basis_representation", "_solved_rows",
-                     "_solve_left", "coeff_row"):
+        for name in ("relation_family", "basis_representation", "_solve_left", "coeff_row"):
             monkeypatch.setattr(relations, name, refuse)
         monkeypatch.setattr(analytic, "_family_terms", refuse)
         monkeypatch.setattr(analytic, "_expansion_ints", analytic._expansion_ints.__wrapped__)

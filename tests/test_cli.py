@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ezbasis.cli as cli
-from ezbasis import coeffs, numeval, relations
+from ezbasis import analytic, coeffs, numeval, relations
 from ezbasis.coeffs import CoeffMatrix, build_matrix_A, split_A1_A2
 from ezbasis.exactnum import rat_to_str
 from ezbasis.trilinalg import invert_forward
@@ -285,6 +285,26 @@ class TestVerify:
         assert obj["passed"] is True
         assert obj["exact"]["power_sum"]["failures"] == []
         assert obj["numeric"]["passed"] is True
+        # the numeric part runs first, and still prints after the exact one
+        assert list(obj) == ["mode", "n", "exact", "numeric", "passed"]
+
+    @pytest.mark.parametrize("args, message", [
+        (("--cutoff", "100", "--s", "1"), "Re(s) must exceed 2.1 (convergence margin), got 1.0"),
+        (("--tol", "1e-30"),
+         "tol 1e-30 is not above the achievable bound 2.250e-13; raise tol or the cutoff"),
+        (("--s", "5+1e308j"),
+         "Im(s) = 1e+308 is too large: the phase Im(s)*log(cutoff) is not finite"),
+    ], ids=["s", "tol", "phase"])
+    def test_all_mode_rejects_numeric_input_before_exact_work(
+        self, capsys, monkeypatch, args, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact part must not run on rejected numeric input")
+
+        monkeypatch.setattr(cli.analytic, "verify_relations_exact", refuse)
+        monkeypatch.setattr(cli.coeffs, "verify_power_sum_identity", refuse)
+        code, out, err = run_cli(capsys, "verify", "--n", "12", "--mode", "all", *args)
+        assert (code, out, err) == (2, "", f"ezbasis: {message}\n")
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         real = numeval.numeric_verify
@@ -494,23 +514,29 @@ class TestVerifyExactMutants:
     """`verify --mode exact` itself prints FAIL for a corrupted row."""
 
     @staticmethod
-    def _corrupt_solved_rows(monkeypatch, corrupt):
-        solved_rows = relations._solved_rows
+    def _corrupt_family_rows(monkeypatch, corrupt):
+        # the collapse's rows of integer terms (p, n, d), as lists
+        family_terms = analytic._family_terms
 
         def corrupted(n_rel, ms):
-            rels, reps = solved_rows(n_rel, ms)
+            rels, reps = map(list, family_terms(n_rel, ms))
             corrupt(rels, reps)
-            return rels, reps
+            return iter(rels), iter(reps)
 
-        monkeypatch.setattr(relations, "_solved_rows", corrupted)
+        monkeypatch.setattr(analytic, "_family_terms", corrupted)
+
+    @staticmethod
+    def _add_to_numerator(row, i, by):
+        p, n, d = row[i]
+        row[i] = (p, n + by, d)
 
     def test_corrupted_relation_row(self, capsys, monkeypatch):
-        # numerator x_0 of relation 2, over dx = -2: weight -1/2 more
-        # on zeta(0,s)/2
+        # numerator x_0 of relation 2, over 2 * dx = -4: weight -1/4 more
+        # on zeta(0,s)
         def corrupt(rels, reps):
-            rels[1][0][0] += 1
+            self._add_to_numerator(rels[1], 0, 1)
 
-        self._corrupt_solved_rows(monkeypatch, corrupt)
+        self._corrupt_family_rows(monkeypatch, corrupt)
         assert run_cli(capsys, "verify", "--n", "12", "--mode", "exact") == (1, (
             _EXACT_HEAD + _COLLAPSE_FAIL
             + "  relation 2: residual -1/4 on j = 0\n"
@@ -519,11 +545,12 @@ class TestVerifyExactMutants:
         ), "")
 
     def test_corrupted_representation_row(self, capsys, monkeypatch):
-        # numerator x_1 of m = 3, over d = -4: gamma_1 falls by 1/4
+        # numerator x_1 of m = 3, over d = -4: gamma_1 falls by 1/4;
+        # the term weighs -x_1
         def corrupt(rels, reps):
-            reps[3][0][1] += 1
+            self._add_to_numerator(reps[3], 1, -1)
 
-        self._corrupt_solved_rows(monkeypatch, corrupt)
+        self._corrupt_family_rows(monkeypatch, corrupt)
         assert run_cli(capsys, "verify", "--n", "12", "--mode", "exact") == (1, (
             _EXACT_HEAD + _COLLAPSE_FAIL
             + "  representation m = 3: residual 1/12 on j = 0\n"
@@ -538,7 +565,7 @@ class TestVerifyExactMutants:
         def corrupt(rels, reps):
             (rels if kind == "relations" else reps).pop()
 
-        self._corrupt_solved_rows(monkeypatch, corrupt)
+        self._corrupt_family_rows(monkeypatch, corrupt)
         counts = "5 relations, 6" if kind == "relations" else "6 relations, 5"
         assert run_cli(capsys, "verify", "--n", "12", "--mode", "exact") == (1, (
             _EXACT_HEAD + f"relation collapse: FAIL ({counts} representations)\n"
@@ -551,7 +578,7 @@ class TestVerifyExactMutants:
             # a later relation takes the dropped one's number, and still collapses
             del rels[2], reps[-1]
 
-        self._corrupt_solved_rows(monkeypatch, corrupt)
+        self._corrupt_family_rows(monkeypatch, corrupt)
         code, out, _ = run_cli(capsys, "verify", "--n", "12", "--mode", "exact",
                                "--format", "json")
         assert code == 1

@@ -227,7 +227,7 @@ class TestIntegerKernels:
     def test_bernoulli_cold_fill_matches_fraction_recurrence(self, monkeypatch, stops):
         # a fresh table, filled in one go or in steps that resume from
         # a partial table whose common denominator must then grow
-        monkeypatch.setattr(exactnum, "_bern", (2, [2, -1]))
+        monkeypatch.setattr(exactnum, "_bern", (2, [2, -1], [1, 3, 3, 1]))
         for n in stops:
             assert bernoulli(n) == _BERN_REF[n]
         got = [bernoulli(n) for n in range(201)]
@@ -237,28 +237,24 @@ class TestIntegerKernels:
         assert exactnum._bernoulli_ints(200)[0] == lcm(*(b.denominator for b in got))
 
     def test_bernoulli_fill_carries_the_pascal_row(self, monkeypatch):
-        # math.comb builds a row only when no carried row fits; every
-        # later row is added up, also across fills that walk upwards
+        # the table carries its Pascal row, so math.comb builds none:
+        # every row is added up, also across fills that walk upwards
         calls = []
 
         def counted(n, k):
             calls.append((n, k))
             return comb(n, k)
 
-        monkeypatch.setattr(exactnum, "_bern", (2, [2, -1]))
-        monkeypatch.setattr(exactnum, "_pascal_row", [])
-        monkeypatch.setattr(exactnum, "comb", counted)
+        monkeypatch.setattr(exactnum, "_bern", (2, [2, -1], [1, 3, 3, 1]))
+        monkeypatch.setattr(exactnum, "comb", counted, raising=False)
         assert bernoulli(100) == _BERN_REF[100]
-        assert calls == [(3, k) for k in range(4)]
         for n in range(101, 201):
             assert bernoulli(n) == _BERN_REF[n]
-        assert len(calls) == 4
         assert [bernoulli(n) for n in range(201)] == _BERN_REF
-        # a table replaced by a shorter one gets a fresh row
-        den, nums = exactnum._bern
-        monkeypatch.setattr(exactnum, "_bern", (den, nums[:51]))
-        assert bernoulli(120) == _BERN_REF[120]
-        assert calls[4:] == [(52, k) for k in range(53)]
+        assert calls == []
+        # the row left for the next fill is C(len(nums) + 1, .)
+        _, nums, row = exactnum._bern
+        assert row == [comb(len(nums) + 1, k) for k in range(len(nums) + 2)]
 
     def test_faulhaber_matches_fraction_construction(self):
         for c in range(121):
@@ -286,7 +282,7 @@ class TestIntegerKernels:
 
         bernoulli(60)
         expected = [exactnum._faulhaber_ints(c) for c in range(61)]
-        monkeypatch.setattr(exactnum, "comb", refuse)
+        monkeypatch.setattr(exactnum, "comb", refuse, raising=False)
         assert [exactnum._faulhaber_ints(c) for c in range(61)] == expected
 
     @pytest.mark.parametrize(
@@ -297,10 +293,11 @@ class TestIntegerKernels:
         self, monkeypatch, index, message
     ):
         # B_7 = 0: a nonzero value there is as wrong as a changed B_6
-        den, nums = exactnum._bernoulli_ints(30)
+        exactnum._bernoulli_ints(30)
+        den, nums, row = exactnum._bern
         nums = list(nums)
         nums[index] += den // 7  # B_index + 1/7
-        monkeypatch.setattr(exactnum, "_bern", (den, nums))
+        monkeypatch.setattr(exactnum, "_bern", (den, nums, row))
         for c in (index, index + 1, 20):
             with pytest.raises(ValueError, match=message):
                 exactnum._faulhaber_ints(c)

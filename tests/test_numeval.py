@@ -635,6 +635,21 @@ class TestNumericVerify:
             "a weight of its identities overflows a float"
         )
 
+    def test_weight_overflow_stops_the_solves_at_its_row(self, monkeypatch):
+        # each row is solved when it is read, so the overflow near
+        # relation 110 ends the solves there, not after all 900 of N = 600
+        kernel = relations._solve_left
+        solves = []
+
+        def counted(cols, target, half, context):
+            solves.append(context)
+            return kernel(cols, target, half, context)
+
+        monkeypatch.setattr(relations, "_solve_left", counted)
+        with pytest.raises(ValueError, match="^N = 600 is too large for numeric verification"):
+            numeric_verify(600, 5, 10, 1e300)
+        assert 0 < len(solves) < 300
+
 
 # ROADMAP item 1: each check's bound sums truncation bounds, but the
 # truncated sums of a true identity cancel exactly, so its residual is

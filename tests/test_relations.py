@@ -85,12 +85,24 @@ class TestRelationFamily:
             ]
             assert [r.coefficients for r in relation_family(N)] == expected, f"N = {N}"
 
-    def test_halves_the_solved_head_only(self):
+    def test_halves_the_solved_head_only(self, monkeypatch):
         # the solve weighs zeta(0,s)/2; the family weighs zeta(0,s)
         # itself, and every other position as solved
+        kernel = relations._solve_left
+        solves = []
+
+        def spy(cols, target, half, context):
+            solves.append((half, kernel(cols, target, half, context)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(relations, "_solve_left", spy)
         for N in (2, 3, 12, 13, 61):
-            rels, _ = relations._solved_rows(N // 2, range(0))
-            for rel, (x, dx, y, dy) in zip(relation_family(N), rels, strict=True):
+            solves.clear()
+            family = relation_family(N)
+            # relation i solves against A1, then against A2
+            assert [half for half, _ in solves] == [1, 2] * (N // 2)
+            rels = [(*x, *y) for (_, x), (_, y) in zip(solves[::2], solves[1::2])]
+            for rel, (x, dx, y, dy) in zip(family, rels, strict=True):
                 solved = [v for k in range(len(x)) for v in (F(x[k], dx), F(-y[k], dy))]
                 solved += [F(0)] * (2 * (N // 2) - len(solved))
                 assert rel.coefficients == (solved[0] / 2, *solved[1:]), f"N = {N}"

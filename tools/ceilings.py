@@ -5,22 +5,25 @@ Run from the root of a source checkout:
     python3 tools/ceilings.py              # every row of the table
     python3 tools/ceilings.py verify       # only the commands starting with "verify"
 
-Each command runs three times as `python -m ezbasis ...`, with `src`
-on the path and its output discarded, each time in a fresh interpreter
-that a fresh wrapper process starts and waits for.  The wrapper reads
-the command's peak RSS from `resource.getrusage(RUSAGE_CHILDREN)`, which
-then covers that command alone, and right after the command it times
-the host: the median time of `perfbench/child.py`'s `probe`, which takes
-about 200 us on the host that the perfbench reference seconds refer to.
-A run's reference seconds are its raw seconds times 200 us over that
-probe time, so that rows taken on a slower or busier host compare.  The
-script prints one markdown row per command: the medians of the three
-runs' raw seconds, reference seconds and probe times, the largest peak
-RSS and the exit code.  It needs nothing beyond the standard library.
+Each command runs three times, each time in a fresh interpreter that
+imports `ezbasis.cli` from `src` and calls `cli.run` on the command's
+arguments, with its output sent to `os.devnull`; the import and the run
+are timed together.  While they run, `perfbench/child.py`'s `SpeedProbe`
+times the host every 50 ms with `probe`, which takes about 200 us on
+the host that the perfbench reference seconds refer to, and the
+probes' own time is taken off the run's seconds.  A run too short for
+any probe is timed by one probe afterwards.  A run's reference seconds
+are its raw seconds times 200 us over the median probe time, so that
+rows taken on a slower or busier host compare.  Its peak RSS is the
+interpreter's own, from `resource.getrusage(RUSAGE_SELF)`.  The script
+prints one markdown row per command: the medians of the three runs' raw
+seconds, reference seconds and probe times, the largest peak RSS and
+the exit code.  It needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import resource
@@ -54,23 +57,25 @@ COMMANDS = [
 
 
 def _measure_one(args: list[str]) -> None:
-    """Run one command as this process's only child and print its cost as JSON."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    start = time.perf_counter()
-    code = subprocess.run([sys.executable, "-m", "ezbasis", *args], env=env,
-                          stdout=subprocess.DEVNULL).returncode
-    seconds = time.perf_counter() - start
+    """Run one command in this fresh interpreter and print its cost as JSON."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from child import SpeedProbe, probe
+
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull), \
+            SpeedProbe() as speed:
+        speed.active = True
+        start = time.perf_counter()
+        import ezbasis.cli
+
+        code = ezbasis.cli.run(args)
+        seconds = time.perf_counter() - start
+        speed.active = False
+    # the probes ran inside the timed command; their time is not the command's
+    seconds -= sum(speed.times)
     # ru_maxrss is in kB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"seconds": seconds, "peak_mb": peak_mb, "exit": code,
-                      "probe_us": _host_probe_us()}))
-
-
-def _host_probe_us() -> float:
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from child import probe
-
-    return statistics.median(probe() for _ in range(40)) * 1e6
+                      "probe_us": statistics.median(speed.times or [probe()]) * 1e6}))
 
 
 def main(argv: list[str]) -> int:
