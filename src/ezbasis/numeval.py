@@ -22,10 +22,25 @@ divided by den for Tornheim, times the phases for complex s.
 
 A block's terms are then reduced to their exact sum, held as a few
 floats: fsum of the terms minus the parts found so far, repeated until
-it returns 0.0 (two parts, as a rule).  A value is the fsum of all its
-parts.  fsum is correctly rounded and the parts add up exactly to the
-terms, so the value is the fsum of all the terms bit for bit, as if
-they had been stored; the tests check it against a term-by-term loop.
+it returns 0.0, or until a part is proved the last (see `_exact_parts`).
+A value is the fsum of all its parts.  fsum is correctly rounded and
+the parts add up exactly to the terms, so the value is the fsum of all
+the terms bit for bit, as if they had been stored; the tests check it
+against a term-by-term loop.  The proof needs a lower bound `low` on
+the block's nonzero |terms|, which costs O(1) per series and block.  On
+the plain path it is float(inner[0]) * powers[-1] / den / 4.  The inner
+values increase with n and the bases' powers fall, so inner[0] is the
+smallest and powers[-1] the smallest power, up to pow's error: if pow
+errs by under a third, every power of the block is at least half of
+powers[-1].  The other factor 1/2 covers the roundings of the terms and
+of low itself, all relative since low >= 2^-1000 keeps them off
+the subnormals.  For complex s, low is multiplied by the smallest |cos|
+or |sin| of the block, found once per block for all series.  The
+guarded path passes low = 0.0, and `_exact_parts` ignores any low under
+2^-1000; both run the full loop.  So does, as a rule, the first block:
+there inner[0] is S_c(2) = 1 while powers[-1] is about 1024^(-Re(s)-e),
+so low lies more than 2^54 below the block's sum for all but the
+smallest shifts.
 Working memory is a few blocks at any cutoff, and nothing is cached
 between calls.
 
@@ -152,16 +167,30 @@ def _phases(tau: float, ns: range) -> tuple[list[float], list[float]]:
     return list(map(math.cos, angles)), list(map(math.sin, angles))
 
 
-def _exact_parts(terms: list[float]) -> list[float]:
+def _exact_parts(terms: list[float], low: float) -> list[float]:
     """A few floats whose exact sum is the exact sum of `terms`.
 
     Each part is the correctly rounded fsum of the terms minus the parts
     before it, until that is 0.0, which only an exact 0 rounds to.  The
     negated parts are appended to `terms` on the way.
+
+    `low` is at most every nonzero |term|, or 0.0 when no bound is
+    known.  When low >= 2^-1000, every term is a multiple of
+    u = ulp(low), and so is every part: a rounded multiple of u is one.
+    The remainder after a part p is then a multiple of u of size at most
+    ulp(p)/2.  If ulp(p) <= 2^54 u, that is at most 2^53 u, so the
+    remainder is a float, and the next fsum returns it exactly, or 0.0:
+    the loop ends there, without a pass to confirm a 0.0.  A smaller
+    low never shortens the loop.
     """
+    reach = 2.0**54 * math.ulp(low) if low >= 2.0**-1000 else 0.0
     count = len(terms)
+    last = False
     while rest := math.fsum(terms):
         terms.append(-rest)
+        if last:
+            break
+        last = math.ulp(rest) <= reach
     return list(map(neg, terms[count:]))
 
 
@@ -225,9 +254,13 @@ def _block_values(s: complex, cutoff: int, ez: range, torn: range) -> list[compl
     shifts = sorted({*ez, *(2 * a for a in torn)})
     for lo in range(2, cutoff + 1, _BLOCK):
         ns = range(lo, min(lo + _BLOCK, cutoff + 1))
-        ms = range(lo - 1, ns.stop - 1)
+        ms = list(range(lo - 1, ns.stop - 1))  # built once, read by every shift
         bases = list(map(float, ns))
-        phases = _phases(tau, ns) if tau else None
+        if tau:
+            phases = _phases(tau, ns)
+            phase_lows = [min(map(abs, phase)) for phase in phases]
+        else:
+            phases = None
         pw = None
         for e in shifts:
             jobs = []  # (series index, exact inner values, plain formula, den)
@@ -250,16 +283,19 @@ def _block_values(s: complex, cutoff: int, ez: range, torn: range) -> list[compl
                     if powers is None:
                         powers = list(map(pow, bases, repeat(-expo)))
                     mags = map(mul, map(float, inner), powers)
+                    # at most every term of the block, see module docstring
+                    low = float(inner[0]) * powers[-1] / den * 0.25
                 else:
                     mags = map(_term_float, inner, ns, repeat(expo))
+                    low = 0.0
                 if den != 1:
                     mags = map(truediv, mags, repeat(den))
                 if phases is None:
-                    parts[i][0].extend(_exact_parts(list(mags)))
+                    parts[i][0].extend(_exact_parts(list(mags), low))
                     continue
                 mags = list(mags)
-                for acc, phase in zip(parts[i], phases):
-                    acc.extend(_exact_parts(list(map(mul, mags, phase))))
+                for acc, phase, phase_low in zip(parts[i], phases, phase_lows):
+                    acc.extend(_exact_parts(list(map(mul, mags, phase)), low * phase_low))
     return [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
 
 

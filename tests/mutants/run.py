@@ -141,6 +141,55 @@ MUTANTS = [
          "::test_weight_overflow_rejected_before_any_series_is_summed",),
     ),
     Mutant(
+        "exact-parts-shortcut-unconditional",
+        "src/ezbasis/numeval.py",
+        "        last = math.ulp(rest) <= reach\n",
+        "        last = True\n",
+        ("tests/test_numeval.py::TestExactParts::test_cases",),
+    ),
+    Mutant(
+        "exact-parts-confirming-pass",
+        "src/ezbasis/numeval.py",
+        "        last = math.ulp(rest) <= reach\n",
+        "        last = False\n",
+        ("tests/test_numeval.py::TestSeriesPlan::test_two_fsum_passes_per_series_block",),
+    ),
+    Mutant(
+        "block-low-from-largest-power",
+        "src/ezbasis/numeval.py",
+        "low = float(inner[0]) * powers[-1] / den * 0.25",
+        "low = float(inner[0]) * powers[0] / den * 0.25",
+        ("tests/test_numeval.py::TestSeriesPlan::test_low_bounds_every_term",),
+    ),
+    Mutant(
+        "block-sum-one-fsum",
+        "src/ezbasis/numeval.py",
+        "        if last:\n            break\n",
+        "        break\n",
+        ("tests/test_numeval.py::TestSeriesPlan::test_values_bitwise",),
+    ),
+    Mutant(
+        "block-first-n-dropped",
+        "src/ezbasis/numeval.py",
+        "        ns = range(lo, min(lo + _BLOCK, cutoff + 1))\n",
+        "        ns = range(lo + 1, min(lo + _BLOCK, cutoff + 1))\n",
+        ("tests/test_numeval.py::TestSeriesPlan::test_values_bitwise",),
+    ),
+    Mutant(
+        "power-sums-restarted-per-block",
+        "src/ezbasis/numeval.py",
+        "inner = list(accumulate(pw, initial=totals[k]))",
+        "inner = list(accumulate(pw, initial=0))",
+        ("tests/test_numeval.py::TestAgainstReferenceLoop::test_ez_double_bitwise",),
+    ),
+    Mutant(
+        "tornheim-values-restarted-per-block",
+        "src/ezbasis/numeval.py",
+        "inner = list(islice(torn_values[k], len(ns)))",
+        "inner = list(islice(_tornheim_values(forms[k][0]), len(ns)))",
+        ("tests/test_numeval.py::TestAgainstReferenceLoop::test_tornheim_bitwise",),
+    ),
+    Mutant(
         "cli-numeric-size-unguarded",
         "src/ezbasis/cli.py",
         '    if ns.verify_mode != "exact" and ns.n > _NUMERIC_N_CEILING:',

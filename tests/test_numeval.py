@@ -177,6 +177,41 @@ class TestSeriesPlan:
         monkeypatch.undo()
         assert values == _separate_values(s, cutoff, top_index, n_prime)
 
+    def test_low_bounds_every_term(self, fsum_passes, monkeypatch):
+        # the low that each series-block passes is at most every nonzero
+        # |term| it sums, which checks the slack left for this machine's
+        # pow; low is far below the first block's sum for the larger
+        # shifts, so their first parts take the full loop
+        cases = [(complex(s), cutoff, range(12), range(6))
+                 for s in (5, complex(4, 3), 12, 3, complex(3, 2))
+                 for cutoff in (10, *_EDGE_CUTOFFS, _THREE_BLOCKS)]
+        for s in (3.0, complex(3, 2)):
+            cases += [(complex(s), 3_000, range(70, 71), range(0)),
+                      (complex(s), 3_000, range(0), range(30, 31))]
+        exact_parts = numeval._exact_parts
+        branches = Counter()
+
+        def checked(terms, low):
+            assert low <= _least(terms) or not any(terms), low
+            before = fsum_passes[0]
+            parts = exact_parts(terms, low)
+            if len(parts) > 1:
+                # a pass that returns 0.0 after the last part confirms it
+                branches[fsum_passes[0] - before - len(parts)] += 1
+            return parts
+
+        monkeypatch.setattr(numeval, "_exact_parts", checked)
+        for case in cases:
+            numeval._block_values(*case)
+        assert set(branches) == {0, 1}, branches
+
+    def test_two_fsum_passes_per_series_block(self, fsum_passes):
+        # 18 series over three blocks, then two fsums per series for the
+        # value; in the first block low lies too far below the sum for
+        # most shifts, so each of its series-blocks may take a third pass
+        numeval._block_values(complex(5), _THREE_BLOCKS, range(12), range(6))
+        assert fsum_passes[0] <= 3 * 18 + 2 * (2 * 18) + 2 * 18
+
     @pytest.mark.parametrize("tau", [3.0, -2.5, 1e-3, 76.0, 1234.5])
     def test_phase_table_equals_cmath_exp(self, tau):
         cutoff = 5_000
@@ -217,8 +252,35 @@ def _random_terms(rng: random.Random) -> list[float]:
     return terms
 
 
+def _least(terms: list[float]) -> float:
+    """The smallest nonzero |term|, the tightest `low` that _exact_parts may be given."""
+    return min((abs(t) for t in terms if t), default=0.0)
+
+
+@pytest.fixture
+def fsum_passes(monkeypatch) -> list[int]:
+    """A one-item list that counts the math.fsum calls of the test."""
+    passes = [0]
+    fsum = math.fsum
+
+    def counted(xs):
+        passes[0] += 1
+        return fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return passes
+
+
 class TestExactParts:
-    """A block's parts add up to the block exactly, so fsum of all parts is fsum of all terms."""
+    """A block's parts add up to the block exactly, so fsum of all parts is fsum of all terms.
+
+    Every case runs twice: with low = 0.0, which runs the full loop, and
+    with the block's smallest nonzero |term| as low, which lets the last
+    part end the loop.  Only the unit level catches that shortcut taken
+    without its condition: the series blocks almost never have a third
+    part, so every value-level bitwise test still passes under that
+    fault.
+    """
 
     @pytest.mark.parametrize("terms", [
         [2.0**60, 1.0, -(2.0**60)],
@@ -227,23 +289,37 @@ class TestExactParts:
         [0.0, -0.0, 0.0],
         [],
         [2.0**1000, 2.0**-1074, -(2.0**1000), 3.0, 2.0**-600],
+        [1.0, 3 * 2.0**-53],
+        [2.0**80, 1.0, 3 * 2.0**-53],
     ])
     def test_cases(self, terms):
-        parts = numeval._exact_parts(list(terms))
-        assert sum(map(Fraction, parts), Fraction(0)) == sum(map(Fraction, terms), Fraction(0))
-        assert math.fsum(parts) == math.fsum(terms)
-        assert 0.0 not in parts
+        for low in (0.0, _least(terms)):
+            parts = numeval._exact_parts(list(terms), low)
+            assert sum(map(Fraction, parts), Fraction(0)) == sum(map(Fraction, terms), Fraction(0))
+            assert math.fsum(parts) == math.fsum(terms)
+            assert 0.0 not in parts
 
     def test_seeded_splits(self):
-        rng = random.Random(20_052_852)
-        for _ in range(300):
-            terms = _random_terms(rng)
-            parts = []
-            for block in _block_split(terms, rng):
-                found = numeval._exact_parts(list(block))
-                assert sum(map(Fraction, found), Fraction(0)) == sum(map(Fraction, block), Fraction(0))
-                parts += found
-            assert math.fsum(parts) == math.fsum(terms)
+        for bounded in (False, True):
+            rng = random.Random(20_052_852)
+            for _ in range(300):
+                terms = _random_terms(rng)
+                parts = []
+                for block in _block_split(terms, rng):
+                    found = numeval._exact_parts(list(block), _least(block) if bounded else 0.0)
+                    assert sum(map(Fraction, found), Fraction(0)) == sum(map(Fraction, block), Fraction(0))
+                    parts += found
+                assert math.fsum(parts) == math.fsum(terms)
+
+    @pytest.mark.parametrize("scale, passes", [(1.0, 3), (2.0**100, 2)], ids=["under", "above"])
+    def test_low_under_the_floor_runs_the_full_loop(self, scale, passes, fsum_passes):
+        # two parts: 2^-1010 is half an ulp of 2^-957 and the tie rounds
+        # it off; ulp(2^-957) <= 2^54 ulp(2^-1010) is within the
+        # shortcut's reach, but a low under 2^-1000 must still confirm
+        # the 0.0 remainder
+        terms = [2.0**-957 * scale, 2.0**-1010 * scale]
+        assert numeval._exact_parts(list(terms), _least(terms)) == terms
+        assert fsum_passes == [passes]
 
 
 class TestEvalEzDouble:
