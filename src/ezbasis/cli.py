@@ -65,11 +65,11 @@ def _at_most(ceiling: int, reason: str):
 
 # a value such as -inf or -4+3i starts with '-' but is not a plain
 # negative number, so argparse would read it as an option
-_SIGNED_VALUE_OPTIONS = ("--s", "--tol")
+_SIGNED_VALUE_OPTIONS = ("--s", "--tol", "--n", "--m", "--c", "--cutoff")
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Rewrite `--s -inf` as `--s=-inf`, and likewise for --tol."""
+    """Rewrite `--s -inf` as `--s=-inf`, and likewise for each option above."""
     out: list[str] = []
     i = 0
     while i < len(argv):

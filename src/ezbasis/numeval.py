@@ -49,14 +49,14 @@ The identities' weights are the integer terms (p, n, d) of
 one correctly rounded division, the float that the reduced `Fraction`
 gives.
 
-The overflow guard is decided once per series.  A term takes the
-plain formula when its inner integer has under 900 bits and
-e*log2(n) < 900.  Inner values increase with n, e is fixed, and
-log2 of distinct integers is far more than an ulp apart, so when the
-guard holds at n = cutoff for an upper bound of the last inner value,
-it holds for every term, and the plain formula gives each term
-bitwise as the per-term guard would.  Otherwise every term goes
-through the guarded `_term_float`.
+The overflow guard is decided once per series and block.  A term
+takes the plain formula when its inner integer has under 900 bits and
+e*log2(n) < 900.  Within a block the inner values and n increase, e is
+fixed, and log2 of distinct integers is far more than an ulp apart, so
+when the guard holds at the block's last term it holds at every term of
+the block, and the plain formula gives each term bitwise as the
+per-term guard would.  Otherwise the block goes through the guarded
+`_term_float`.
 
 Tail bound derivation, used by both evaluators.  For the double zeta
 series the inner sum obeys S_c(n) <= n^(c+1)/(c+1): each m^c is at most
@@ -242,12 +242,7 @@ def _block_values(s: complex, cutoff: int, ez: range, torn: range) -> list[compl
     step 1, so that each power m^c is m^(c-1) times m.
     """
     sigma, tau = s.real, s.imag
-    # the guard of each series, decided at n = cutoff; S_c(cutoff) has
-    # cutoff - 1 terms, each at most (cutoff - 1)^c
-    ez_plain = [_plain_float_ok((cutoff - 1) ** (c + 1), cutoff, sigma + c) for c in ez]
     forms = [_tornheim_poly(a) for a in torn]
-    torn_plain = [_plain_float_ok(_horner(poly, cutoff), cutoff, sigma + 2 * a)
-                  for a, (poly, _) in zip(torn, forms)]
     torn_values = [_tornheim_values(poly) for poly, _ in forms]
     totals = [0] * len(ez)  # S_c(lo - 1) at the block start lo
     parts = [([], []) for _ in range(len(ez) + len(torn))]
@@ -263,23 +258,23 @@ def _block_values(s: complex, cutoff: int, ez: range, torn: range) -> list[compl
             phases = None
         pw = None
         for e in shifts:
-            jobs = []  # (series index, exact inner values, plain formula, den)
+            jobs = []  # (series index, exact inner values, den)
             if e in ez:
                 k = e - ez.start
                 pw = list(map(pow, ms, repeat(e))) if pw is None else list(map(mul, pw, ms))
                 inner = list(accumulate(pw, initial=totals[k]))
                 del inner[0]
                 totals[k] = inner[-1]
-                jobs.append((k, inner, ez_plain[k], 1))
+                jobs.append((k, inner, 1))
             if e % 2 == 0 and e // 2 in torn:
                 k = e // 2 - torn.start
                 inner = list(islice(torn_values[k], len(ns)))
-                jobs.append((len(ez) + k, inner, torn_plain[k], forms[k][1]))
+                jobs.append((len(ez) + k, inner, forms[k][1]))
             expo = sigma + e
             powers = None
-            for i, inner, plain, den in jobs:
-                if plain:
-                    # the guard holds at every n <= cutoff, see module docstring
+            for i, inner, den in jobs:
+                if _plain_float_ok(inner[-1], ns[-1], expo):
+                    # the guard holds at every n of the block, see module docstring
                     if powers is None:
                         powers = list(map(pow, bases, repeat(-expo)))
                     mags = map(mul, map(float, inner), powers)
@@ -410,14 +405,11 @@ def zeta_reference(s: complex) -> complex:
     k_pow = cmath.exp(-s * math.log(K))
     acc += K * k_pow / (s - 1) + k_pow / 2
     # correction terms B_{2r}/(2r)! * (s)(s+1)...(s+2r-2) * K^(1-s-2r)
-    poch = complex(1.0)
+    poch = s
     for r in range(1, _EM_CORRECTIONS + 1):
-        if r == 1:
-            poch = s
-        else:
-            poch *= (s + (2 * r - 3)) * (s + (2 * r - 2))
         weight = float(bernoulli(2 * r)) / math.factorial(2 * r)
         acc += weight * poch * k_pow * float(K) ** (1 - 2 * r)
+        poch *= (s + (2 * r - 1)) * (s + 2 * r)
     return acc
 
 

@@ -190,6 +190,67 @@ MUTANTS = [
         ("tests/test_numeval.py::TestAgainstReferenceLoop::test_tornheim_bitwise",),
     ),
     Mutant(
+        "block-guard-at-first-term",
+        "src/ezbasis/numeval.py",
+        "if _plain_float_ok(inner[-1], ns[-1], expo):",
+        "if _plain_float_ok(inner[0], ns[0], expo):",
+        ("tests/test_numeval.py::TestAgainstReferenceLoop::test_guard_flips_inside_series",),
+    ),
+    Mutant(
+        "underflow-unchecked",
+        "src/ezbasis/numeval.py",
+        "    if 2.0 ** -(s.real + shift) == 0.0:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestVerify::test_numeric_huge_real_s_rejected",
+         "tests/test_cli_inputs.py"),
+    ),
+    Mutant(
+        "infinite-tol-unchecked",
+        "src/ezbasis/numeval.py",
+        "    if math.isinf(tol):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestVerify::test_infinite_tol_rejected",
+         "tests/test_cli_inputs.py"),
+    ),
+    Mutant(
+        "zeta-reference-unchecked",
+        "src/ezbasis/numeval.py",
+        "    s = _require_finite(s)\n    if s.imag == 0.0",
+        "    s = complex(s)\n    if s.imag == 0.0",
+        ("tests/test_numeval.py::TestZetaReference::test_non_finite_rejected",),
+    ),
+    Mutant(
+        "expansion-c-unchecked",
+        "src/ezbasis/analytic.py",
+        '        raise ValueError("c must be >= 0")\n    den, nums = _faulhaber_ints(c)',
+        "        pass\n    den, nums = _faulhaber_ints(c)",
+        ("tests/test_cli.py::TestExpand::test_negative_c_names_c",
+         "tests/test_cli_inputs.py"),
+    ),
+    Mutant(
+        "parse-complex-value-error",
+        "src/ezbasis/cli.py",
+        '        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None',
+        '        raise ValueError(f"not a complex number: {text!r}") from None',
+        ("tests/test_cli.py::TestVerify::test_numeric_garbage_s_rejected",
+         "tests/test_cli_inputs.py"),
+    ),
+    Mutant(
+        "s-read-as-an-option",
+        "src/ezbasis/cli.py",
+        '_SIGNED_VALUE_OPTIONS = ("--s", "--tol",',
+        '_SIGNED_VALUE_OPTIONS = ("--tol",',
+        ("tests/test_cli.py::TestVerify::test_negative_non_finite_s_is_a_value",
+         "tests/test_cli_inputs.py"),
+    ),
+    Mutant(
+        "int-options-read-as-options",
+        "src/ezbasis/cli.py",
+        '"--tol", "--n", "--m", "--c", "--cutoff")',
+        '"--tol")',
+        ("tests/test_cli_inputs.py",),
+    ),
+    Mutant(
         "cli-numeric-size-unguarded",
         "src/ezbasis/cli.py",
         '    if ns.verify_mode != "exact" and ns.n > _NUMERIC_N_CEILING:',

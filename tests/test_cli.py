@@ -664,6 +664,11 @@ class TestPlumbing:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    def test_option_with_no_value_still_wants_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "6", "--mode", "numeric", "--s")
+        assert (code, out) == (2, "")
+        assert "argument --s: expected one argument" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = run_cli(

@@ -141,24 +141,37 @@ class TestSeriesPlan:
         assert numeval._block_values(s, cutoff, range(12), range(6)) == expected
 
     @pytest.mark.parametrize("s", [3.0, complex(3, 2)])
-    @pytest.mark.parametrize("cutoff, top_index, split", [(2_000, 90, []), (50, 157, [78])])
-    def test_guard_paths_under_one_table(self, s, cutoff, top_index, split, monkeypatch):
-        # at sigma = 3 the overflow guard fails for the larger shifts: at
-        # cutoff 2000 for both series of a shift at once, at cutoff 50
-        # for T(-78, -78; s+156) alone, while zeta(-156, s+156) keeps the
-        # plain formula and the powers of shift 156
+    @pytest.mark.parametrize("cutoff, top_index, split, pinned", [
+        (2_000, 90, [], {79: 0, 80: 1950, 81: 975, 82: 1950, 83: 975, 84: 1950, 85: 975,
+                         86: 1950, 87: 1999, 88: 3998}),
+        (50, 157, [78], {155: 0, 156: 49, 157: 49}),
+    ])
+    def test_guard_paths_under_one_table(self, s, cutoff, top_index, split, pinned, monkeypatch):
+        # at sigma = 3 the overflow guard fails for the larger shifts, each
+        # block deciding from its last term: at cutoff 2000 shifts 80-86
+        # keep the plain formula in the first block and lose it in the
+        # second, for both series of a shift at once, and from shift 87 on
+        # both blocks are guarded; at cutoff 50 (one block)
+        # T(-78, -78; s+156) alone is guarded, while zeta(-156, s+156)
+        # keeps the plain formula and the powers of shift 156
         s = complex(s)
         n_prime = top_index // 2 + 1
-        ez_plain = [numeval._plain_float_ok((cutoff - 1) ** (c + 1), cutoff, s.real + c)
-                    for c in range(top_index + 1)]
-        torn_plain = []
+        blocks = [range(lo, min(lo + _BLOCK, cutoff + 1)) for lo in range(2, cutoff + 1, _BLOCK)]
+
+        def guarded_terms(inner_at, expo):
+            # the summed length of the blocks whose last term fails the guard
+            return sum(len(ns) for ns in blocks
+                       if not numeval._plain_float_ok(inner_at(ns[-1]), ns[-1], expo))
+
+        ez_guarded = [guarded_terms(lambda n: sum(m**c for m in range(1, n)), s.real + c)
+                      for c in range(top_index + 1)]
+        torn_guarded = []
         for a in range(n_prime):
             _, den = _tornheim_poly(a)
-            top = den * tornheim_inner_sum(a, cutoff)
-            torn_plain.append(numeval._plain_float_ok(top, cutoff, s.real + 2 * a))
-        assert split == [a for a in range(n_prime) if ez_plain[2 * a] != torn_plain[a]]
+            torn_guarded.append(guarded_terms(lambda n: den * tornheim_inner_sum(a, n), s.real + 2 * a))
+        assert split == [a for a in range(n_prime) if ez_guarded[2 * a] != torn_guarded[a]]
 
-        # the loop takes the guarded formula for exactly those series
+        # the loop takes the guarded formula for exactly those blocks
         guarded = Counter()
         term_float = numeval._term_float
 
@@ -170,10 +183,11 @@ class TestSeriesPlan:
         values = numeval._block_values(s, cutoff, range(top_index + 1), range(n_prime))
         expected = Counter()
         for e in range(top_index + 1):
-            count = (not ez_plain[e]) + (e % 2 == 0 and e // 2 < n_prime and not torn_plain[e // 2])
-            if count:
-                expected[s.real + e] = count * (cutoff - 1)
-        assert guarded == expected
+            expected[s.real + e] = ez_guarded[e]
+            if e % 2 == 0 and e // 2 < n_prime:
+                expected[s.real + e] += torn_guarded[e // 2]
+        assert guarded == +expected
+        assert {e: guarded[s.real + e] for e in pinned} == pinned
         monkeypatch.undo()
         assert values == _separate_values(s, cutoff, top_index, n_prime)
 
