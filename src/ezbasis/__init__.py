@@ -32,7 +32,7 @@ from .analytic import (
     zeta_shift_expansion,
 )
 from .errors import SingularMatrixError, VerificationError
-from .exactnum import FaulhaberPoly, bernoulli, faulhaber, rat_to_str
+from .exactnum import bernoulli, faulhaber, rat_to_str
 from .relations import (
     BasisRepresentation,
     RelationVector,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisRepresentation",
     "CoeffMatrix",
-    "FaulhaberPoly",
     "NumericReport",
     "NumericResult",
     "PoleRecord",

@@ -4,20 +4,17 @@ Bernoulli numbers, and power-sum (Faulhaber) polynomials.
 Everything in this module is exact.  Rationals are `fractions.Fraction`
 at every interface; no float ever enters or leaves.  The inner loops do
 not add `Fraction`s, because each such add runs a gcd: the Bernoulli
-recurrence, the Faulhaber coefficients and Faulhaber evaluation work on
-integer numerators over one common denominator and build one `Fraction`
-per result.  The Bernoulli numbers live in one integer table that grows
+recurrence and the Faulhaber coefficients work on integer numerators
+over one common denominator and build one `Fraction` per result.  The
+Bernoulli numbers live in one integer table that grows
 deterministically, a call for B_n filling it up to n once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
-
-from ._record import record
 
 
 def _ratio_str(p: int, q: int) -> str:
@@ -46,12 +43,6 @@ def _fraction(x, what: str, *index: int) -> Fraction:
     raise TypeError(
         f"{what.format(*index)} is a {type(x).__name__}, not an exact int or Fraction"
     )
-
-
-def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Rationals as (lcm of their denominators, integer numerators over it)."""
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 # every B_k filled so far as (common denominator, integer numerators,
@@ -108,42 +99,6 @@ def bernoulli(n: int) -> Fraction:
     return Fraction(nums[n], den)
 
 
-@record
-class FaulhaberPoly:
-    """Closed form of the power sum S_c(n) = sum_{m=1}^{n-1} m^c.
-
-    `coeffs` lists the coefficients of the degree-(c+1) polynomial in n,
-    highest degree first, so coeffs[0] multiplies n^(c+1).  Construction
-    validates the three anchors that pin the polynomial down: leading
-    coefficient 1/(c+1), value 0 at n = 1, and value 1 at n = 2.
-    """
-
-    c: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(
-            _fraction(x, "coeffs[{}]", i) for i, x in enumerate(self.coeffs)))
-        if self.c < 0:
-            raise ValueError("exponent must be >= 0")
-        if len(self.coeffs) != self.c + 2:
-            raise ValueError("coefficient vector must have length c + 2")
-        if self.coeffs[0] != Fraction(1, self.c + 1):
-            raise ValueError("leading coefficient must be 1/(c+1)")
-        if self.eval_at(1) != 0:
-            raise ValueError("empty sum at n = 1 must vanish")
-        if self.eval_at(2) != 1:
-            raise ValueError("sum at n = 2 must equal 1")
-
-    def eval_at(self, n: int) -> Fraction:
-        """S_c(n) by Horner's rule on integer numerators over one denominator."""
-        den, nums = _over_lcm(self.coeffs)
-        acc = 0
-        for x in nums:
-            acc = acc * n + x
-        return Fraction(acc, den)
-
-
 def _faulhaber_ints(c: int) -> tuple[int, list[int]]:
     """Coefficients of `faulhaber(c)` as (common denominator D, numerators).
 
@@ -175,12 +130,15 @@ def _faulhaber_ints(c: int) -> tuple[int, list[int]]:
     return den, nums
 
 
-def faulhaber(c: int) -> FaulhaberPoly:
-    """Power-sum polynomial for exponent c >= 0.
+def faulhaber(c: int) -> tuple[Fraction, ...]:
+    """Coefficients of the power sum S_c(n) = sum_{m=1}^{n-1} m^c, c >= 0.
 
-    The coefficient of n^(c+1-i) is C(c+1, i) B_i / (c+1) for
-    i = 0..c, with constant term 0; for c = 0 the constant is adjusted
-    by -1 because the m = 0 term does not appear in S_0(n) = n - 1.
+    S_c is a polynomial of degree c+1 in n, and the tuple lists its c+2
+    coefficients, highest degree first.  The coefficient of n^(c+1-i)
+    is C(c+1, i) B_i / (c+1) for i = 0..c, with constant term 0; for
+    c = 0 the constant is adjusted by -1 because the m = 0 term does
+    not appear in S_0(n) = n - 1.  The anchors are checked once, by
+    `_faulhaber_ints`.
     """
     den, nums = _faulhaber_ints(c)
-    return FaulhaberPoly(c=c, coeffs=tuple(Fraction(x, den) for x in nums))
+    return tuple(Fraction(x, den) for x in nums)

@@ -33,7 +33,7 @@ from operator import mul
 from ._record import record
 from .coeffs import ONE, ZERO, coeff_row
 from .errors import VerificationError
-from .exactnum import _fraction, _over_lcm
+from .exactnum import _fraction
 
 def function_label(p: int) -> str:
     """Display name of family member p: zeta(0,s), zeta(-1,s+1), ..."""
@@ -185,7 +185,8 @@ class BasisRepresentation:
             raise ValueError("m must be >= 0")
         if len(self.gamma) != self.m + 1:
             raise VerificationError("gamma must have length m + 1")
-        den, nums = _over_lcm(self.gamma)
+        den = lcm(*(g.denominator for g in self.gamma))
+        nums = [g.numerator * (den // g.denominator) for g in self.gamma]
         _check_gamma(self.m, [2 * nums[0], *nums[1:]], den)
 
     def as_relation_vector(self) -> RelationVector:

@@ -46,6 +46,51 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
+        "bernoulli-fill-without-gcd",
+        "src/ezbasis/exactnum.py",
+        "            g = gcd(acc, m + 1)\n",
+        "            g = 1\n",
+        ("tests/test_exactnum.py::TestIntegerKernels"
+         "::test_bernoulli_cold_fill_matches_fraction_recurrence",),
+    ),
+    Mutant(
+        "faulhaber-n-2-anchor-unchecked",
+        "src/ezbasis/exactnum.py",
+        "    if acc != den:\n",
+        "    if False:\n",
+        ("tests/test_exactnum.py::TestIntegerKernels"
+         "::test_error_the_earlier_anchors_miss_is_caught",),
+    ),
+    Mutant(
+        "faulhaber-half-anchor-unchecked",
+        "src/ezbasis/exactnum.py",
+        "    if c >= 1 and 2 * nums[1] != -den:\n",
+        "    if False:\n",
+        ("tests/test_exactnum.py::TestIntegerKernels"
+         "::test_error_the_earlier_anchors_miss_is_caught",),
+    ),
+    Mutant(
+        "split-shape-unchecked",
+        "src/ezbasis/coeffs.py",
+        "    if A.cols != n_prime:\n",
+        "    if False:\n",
+        ("tests/test_coeffs.py::TestSplit::test_wrong_column_count_rejected",),
+    ),
+    Mutant(
+        "triangular-diagonal-unchecked",
+        "src/ezbasis/coeffs.py",
+        "        if not row[i]:\n",
+        "        if False:\n",
+        ("tests/test_coeffs.py::TestTriangularCheck::test_rejects_zero_diagonal",),
+    ),
+    Mutant(
+        "cofactor-sign-flipped",
+        "src/ezbasis/trilinalg.py",
+        "            w.append(-s)\n",
+        "            w.append(s)\n",
+        ("tests/test_trilinalg.py::TestInvertCofactor::test_agrees_with_forward_on_golden",),
+    ),
+    Mutant(
         "catalog-reads-expansion",
         "src/ezbasis/analytic.py",
         '        raise ValueError("n must be >= 0")\n    residues = [(1, n + 1),',
@@ -69,6 +114,13 @@ MUTANTS = [
         ("tests/test_analytic.py::TestResiduesFromExpansion::test_corrupted_catalog_residue",
          "tests/test_analytic.py::TestResiduesFromExpansion"
          "::test_corrupted_expansion_numerator"),
+    ),
+    Mutant(
+        "witness-pole-unchecked",
+        "src/ezbasis/analytic.py",
+        "    if locations[-1] != location:\n",
+        "    if False:\n",
+        ("tests/test_analytic.py::TestIndependenceWitness::test_missing_pole_is_caught",),
     ),
     Mutant(
         "position-0-not-halved",
@@ -107,6 +159,21 @@ MUTANTS = [
         "            _check_gamma(m, x, d)\n",
         "",
         ("tests/test_cli.py::TestVerifyExactMutants::test_corrupted_coefficient_row",),
+    ),
+    Mutant(
+        "solve-left-zero-pivot-unguarded",
+        "src/ezbasis/relations.py",
+        "        if piv == 0:\n",
+        "        if False:\n",
+        ("tests/test_relations.py::TestBackSubstitutionSafety::test_zero_pivot_is_reported",),
+    ),
+    Mutant(
+        "residue-solve-no-rescale",
+        "src/ezbasis/relations.py",
+        "            num = {idx: x * piv for idx, x in num.items()}\n",
+        "",
+        ("tests/test_relations.py::TestBackSubstitutionSafety"
+         "::test_corrupted_a2_entry_is_caught",),
     ),
     Mutant(
         "mat-mul-span-one-short",

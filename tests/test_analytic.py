@@ -200,6 +200,11 @@ class TestPoleTable:
         with pytest.raises(ValueError):
             PoleTable(n=0, records=recs)
 
+    def test_table_rejects_negative_n(self):
+        # n = 0's records would pass every other check at n = -1
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            PoleTable(n=-1, records=pole_table(0).records)
+
     def test_json_shape(self, cli_stdout):
         d = json.loads(cli_stdout("poles", "--n", "3", "--format", "json"))
         assert d == {
@@ -240,6 +245,10 @@ class TestZetaShiftExpansion:
         e = zeta_shift_expansion(3)
         assert e.q == (F(1, 4), F(-1, 2), F(1, 4), F(0))
 
+    def test_record_rejects_negative_c(self):
+        with pytest.raises(ValueError, match=r"^c must be >= 0$"):
+            ZetaShiftExpansion(c=-1, q=())
+
     def test_lengths_and_pins(self):
         for c in range(41):
             e = zeta_shift_expansion(c)
@@ -250,7 +259,7 @@ class TestZetaShiftExpansion:
 
     def test_matches_faulhaber(self):
         for c in range(1, 30):
-            assert zeta_shift_expansion(c).q == faulhaber(c).coeffs[: c + 1]
+            assert zeta_shift_expansion(c).q == faulhaber(c)[: c + 1]
 
     def test_equals_the_fraction_per_entry_construction(self):
         # the construction it replaced: one Fraction per Faulhaber numerator
@@ -569,6 +578,18 @@ class TestIndependenceWitness:
     def test_m0_rejected(self):
         with pytest.raises(ValueError):
             independence_witness(0)
+
+    def test_missing_pole_is_caught(self, monkeypatch):
+        catalog_ints = analytic._catalog_ints
+
+        def truncated(n):
+            locations, residues = catalog_ints(n)
+            return locations[:-1], residues[:-1]
+
+        monkeypatch.setattr(analytic, "_catalog_ints", truncated)
+        message = r"^zeta\(-6,s\+6\) lacks the expected pole at s = -4$"
+        with pytest.raises(VerificationError, match=message):
+            independence_witness(3)
 
     def test_shared_location_below_is_caught(self, monkeypatch, fresh_memos):
         catalog_ints = analytic._catalog_ints

@@ -25,7 +25,7 @@ from ezbasis.coeffs import (
     verify_power_sum_identity,
 )
 from ezbasis.errors import SingularMatrixError
-from ezbasis.exactnum import FaulhaberPoly, rat_to_str
+from ezbasis.exactnum import rat_to_str
 from ezbasis.relations import BasisRepresentation, RelationVector
 from ezbasis.trilinalg import invert_cofactor, invert_forward
 from golden_values import A1_12, A2_12, A_12
@@ -168,6 +168,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_A1_A2(bad)
 
+    def test_wrong_column_count_rejected(self):
+        # an even row count with as many columns as rows: square, not 2k x k
+        with pytest.raises(ValueError, match=r"^matrix must have shape 2k x k$"):
+            split_A1_A2(CoeffMatrix.from_rows([[1, 0], [0, 1]]))
+
 
 class TestCoeffMatrix:
     def test_identity(self):
@@ -307,11 +312,10 @@ class TestInexactEntries:
             (lambda x: PoleRecord(2, x), r"residue"),
             (lambda x: ZetaShiftExpansion(1, (F(1, 2), x)), r"q_1"),
             (lambda x: BasisRepresentation(1, (x, F(3, 2))), r"gamma\[0\]"),
-            (lambda x: FaulhaberPoly(1, (F(1, 2), x, F(0))), r"coeffs\[1\]"),
             (rat_to_str, r"value"),
         ],
         ids=["RelationVector", "PoleRecord", "ZetaShiftExpansion", "BasisRepresentation",
-             "FaulhaberPoly", "rat_to_str"],
+             "rat_to_str"],
     )
     def test_records_reject_them_by_field(self, build, field, bad):
         # one rule for every exact field: the matrix's, each record's and

@@ -9,7 +9,7 @@ from math import comb, factorial, lcm
 import pytest
 
 import ezbasis.exactnum as exactnum
-from ezbasis.exactnum import FaulhaberPoly, bernoulli, faulhaber, rat_to_str
+from ezbasis.exactnum import bernoulli, faulhaber, rat_to_str
 from reference import gen_binomial, matrix_from_json, zeta_neg
 
 
@@ -144,49 +144,33 @@ class TestGenBinomial:
 class TestFaulhaber:
     def test_degree_zero(self):
         p = faulhaber(0)
-        assert p.coeffs == (F(1), F(-1))
-        assert p.eval_at(F(5)) == 4
+        assert p == (F(1), F(-1))
+        assert _horner_reference(p, F(5)) == 4
 
     def test_degree_one(self):
         # sum_{m<n} m = n(n-1)/2
-        p = faulhaber(1)
-        assert p.coeffs == (F(1, 2), F(-1, 2), F(0))
+        assert faulhaber(1) == (F(1, 2), F(-1, 2), F(0))
 
     def test_degree_two(self):
         # sum_{m<n} m^2 = n^3/3 - n^2/2 + n/6
-        p = faulhaber(2)
-        assert p.coeffs == (F(1, 3), F(-1, 2), F(1, 6), F(0))
+        assert faulhaber(2) == (F(1, 3), F(-1, 2), F(1, 6), F(0))
 
     def test_degree_three(self):
-        p = faulhaber(3)
-        assert p.coeffs == (F(1, 4), F(-1, 2), F(1, 4), F(0), F(0))
+        assert faulhaber(3) == (F(1, 4), F(-1, 2), F(1, 4), F(0), F(0))
 
     def test_matches_brute_force(self):
         for c in range(31):
             p = faulhaber(c)
             for n in (1, 2, 3, 7, 50):
-                assert p.eval_at(F(n)) == sum(m**c for m in range(1, n))
+                assert _horner_reference(p, F(n)) == sum(m**c for m in range(1, n))
 
     def test_leading_coefficient(self):
         for c in range(20):
-            assert faulhaber(c).coeffs[0] == F(1, c + 1)
+            assert faulhaber(c)[0] == F(1, c + 1)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             faulhaber(-1)
-
-    def test_validation_rejects_bad_poly(self):
-        good = faulhaber(2)
-        with pytest.raises(ValueError):
-            FaulhaberPoly(c=2, coeffs=good.coeffs[:-1])
-        broken = (F(1, 2),) + good.coeffs[1:]
-        with pytest.raises(ValueError):
-            FaulhaberPoly(c=2, coeffs=broken)
-
-    def test_frozen(self):
-        p = faulhaber(2)
-        with pytest.raises(AttributeError):
-            p.c = 5
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +243,8 @@ class TestIntegerKernels:
     def test_faulhaber_matches_fraction_construction(self):
         for c in range(121):
             p = faulhaber(c)
-            ref = _faulhaber_reference(c)
-            assert p.coeffs == ref
-            assert all(type(x) is F for x in p.coeffs)
-            for n in (0, 1, 2, 7):
-                got = p.eval_at(n)
-                assert type(got) is F
-                assert got == _horner_reference(ref, n)
+            assert p == _faulhaber_reference(c)
+            assert all(type(x) is F for x in p)
 
     def test_faulhaber_ints_match_the_comb_per_entry_construction(self):
         # the construction the multiplicative binomial row replaced
@@ -307,10 +286,26 @@ class TestIntegerKernels:
             # rows below the corrupted index never read it
             exactnum._faulhaber_ints(index - 1)
 
-    @pytest.mark.parametrize("c", [1, 2, 5, 40, 120])
-    def test_perturbed_coefficient_still_rejected(self, c):
-        good = faulhaber(c).coeffs
-        for i in range(c + 2):
-            broken = good[:i] + (good[i] + F(1, 3**c),) + good[i + 1:]
-            with pytest.raises(ValueError):
-                FaulhaberPoly(c=c, coeffs=broken)
+    @pytest.mark.parametrize(
+        "deltas, kept_at, message",
+        [({2: comb(11, 4), 4: -comb(11, 2)}, (1,), "sum at n = 2 must equal 1"),
+         ({1: 45, 2: -21, 4: 2}, (1, 2), r"coefficient of n\^c must be -1/2")],
+        ids=["n=2", "half"],
+    )
+    def test_error_the_earlier_anchors_miss_is_caught(
+        self, monkeypatch, deltas, kept_at, message
+    ):
+        # deltas[i] is added to B_i's numerator over the table's denominator;
+        # S_10(n) = sum_i C(11, i) B_i n^(11-i) / 11 keeps its value at kept_at
+        for n in kept_at:
+            assert sum(comb(11, i) * d * n ** (11 - i) for i, d in deltas.items()) == 0
+        exactnum._bernoulli_ints(30)
+        den, nums, row = exactnum._bern
+        nums = list(nums)
+        for i, d in deltas.items():
+            nums[i] += d
+        monkeypatch.setattr(exactnum, "_bern", (den, nums, row))
+        with pytest.raises(ValueError, match=message):
+            exactnum._faulhaber_ints(10)
+        with pytest.raises(ValueError, match=message):
+            faulhaber(10)

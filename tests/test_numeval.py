@@ -435,7 +435,7 @@ class TestTornheim:
     def test_closed_form_equals_fraction_construction(self):
         # the integer build gives the (poly, den) of the Fraction loop,
         # the reduced denominator included
-        powersums = [faulhaber(c).coeffs for c in range(301)]
+        powersums = [faulhaber(c) for c in range(301)]
 
         def fraction_poly(a):
             coeffs = [Fraction(0)] * (2 * a + 2)

@@ -24,7 +24,6 @@ from ezbasis.analytic import (
     pole_table,
 )
 from ezbasis.coeffs import CoeffMatrix, PowerSumReport
-from ezbasis.exactnum import FaulhaberPoly
 from ezbasis.numeval import NumericCheck, NumericReport, NumericResult
 from ezbasis.relations import BasisRepresentation, RelationVector
 
@@ -146,7 +145,6 @@ def test_unknown_attribute_still_raises():
 _RECORDS = [
     (CoeffMatrix, {"entries": ((F(1), F(-2, 3)),)}),
     (PowerSumReport, {"e_max": 3, "failures": ()}),
-    (FaulhaberPoly, {"c": 1, "coeffs": (F(1, 2), F(-1, 2), F(0))}),
     (RelationVector, {"coefficients": (F(1), F(-1))}),
     (BasisRepresentation, {"m": 0, "gamma": (F(1, 2),)}),
     (PoleRecord, {"location": 2, "residue": F(1, 3)}),

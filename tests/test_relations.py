@@ -143,6 +143,10 @@ class TestBasisRepresentation:
         with pytest.raises(ValueError):
             basis_representation(-1)
 
+    def test_constructor_rejects_negative_m(self):
+        with pytest.raises(ValueError, match=r"^m must be >= 0$"):
+            BasisRepresentation(m=-1, gamma=())
+
     def test_target_label(self, cli_stdout):
         out = cli_stdout("basis", "--m", "2", "--format", "json")
         assert json.loads(out)["target"] == "zeta(-5,s+5)"
