@@ -264,6 +264,30 @@ MUTANTS = [
         ("tests/test_numeval.py::TestAgainstReferenceLoop::test_guard_flips_inside_series",),
     ),
     Mutant(
+        "exit-on-pre-screen-alone",
+        "src/ezbasis/numeval.py",
+        "            if not (2.0 * bound < math.ulp(math.fsum(acc))\n"
+        "                    and math.fsum([*acc, bound]) == math.fsum([*acc, -bound])):\n",
+        "            if not 2.0 * bound < math.ulp(math.fsum(acc)):\n",
+        ("tests/test_numeval.py::TestSettled::test_tie_does_not_settle",
+         "tests/test_numeval.py::TestSeriesPlan::test_values_bitwise"),
+    ),
+    Mutant(
+        "tail-bound-at-cutoff",
+        "src/ezbasis/numeval.py",
+        "(_tail_bound(sigma, ns[-1], div) for div in divs)",
+        "(_tail_bound(sigma, cutoff, div) for div in divs)",
+        ("tests/test_numeval.py::TestSeriesPlan::test_values_bitwise",),
+    ),
+    Mutant(
+        "settle-reads-real-parts-only",
+        "src/ezbasis/numeval.py",
+        "        for acc in (re, im) if tau else (re,):\n",
+        "        for acc in (re,):\n",
+        ("tests/test_numeval.py::TestSettled"
+         "::test_imaginary_parts_are_read_at_a_complex_point",),
+    ),
+    Mutant(
         "underflow-unchecked",
         "src/ezbasis/numeval.py",
         "    if 2.0 ** -(s.real + shift) == 0.0:\n",

@@ -132,13 +132,43 @@ def _separate_values(s: complex, cutoff: int, top_index: int, n_prime: int) -> l
 class TestSeriesPlan:
     """One loop over blocks gives every series of a point at once."""
 
-    @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0, complex(3, 2)])
+    # s = 12 leaves the loop after the first block, s = 7, 8 and 8+5i
+    # after several at cutoff 20 001, s = 5, 4+3i and 3+2i never
+    @pytest.mark.parametrize("s", [5.0, complex(4, 3), 12.0, complex(3, 2),
+                                   7.0, 8.0, complex(8, 5)])
     @pytest.mark.parametrize("cutoff", [10, *_EDGE_CUTOFFS, _THREE_BLOCKS, 20_001])
     def test_values_bitwise(self, s, cutoff):
         s = complex(s)
         expected = [_reference_ez_double(c, s, cutoff) for c in range(12)]
         expected += [_reference_tornheim(a, s, cutoff) for a in range(6)]
         assert numeval._block_values(s, cutoff, range(12), range(6)) == expected
+
+    @pytest.mark.parametrize("s", [600.0, complex(600, 5)])
+    def test_values_bitwise_under_the_tail_floor(self, s):
+        # the tail bound after the first block underflows below 2^-1022,
+        # where the exit takes 2^-1022 instead
+        s = complex(s)
+        assert numeval._tail_bound(s.real, _BLOCK + 1, 1) < 2.0**-1022
+        expected = [_reference_ez_double(c, s, _THREE_BLOCKS) for c in range(3)]
+        expected += [_reference_tornheim(a, s, _THREE_BLOCKS) for a in range(2)]
+        assert numeval._block_values(s, _THREE_BLOCKS, range(3), range(2)) == expected
+
+    @pytest.mark.parametrize("s, cutoff, blocks", [
+        (12.0, 20_000, 1),
+        (5.0, _THREE_BLOCKS, 3),
+    ])
+    def test_blocks_summed(self, s, cutoff, blocks, monkeypatch):
+        # one _exact_parts call per series and block at a real point
+        calls = [0]
+        exact_parts = numeval._exact_parts
+
+        def counted(terms, low):
+            calls[0] += 1
+            return exact_parts(terms, low)
+
+        monkeypatch.setattr(numeval, "_exact_parts", counted)
+        numeval._block_values(complex(s), cutoff, range(12), range(6))
+        assert calls == [18 * blocks]
 
     @pytest.mark.parametrize("s", [3.0, complex(3, 2)])
     @pytest.mark.parametrize("cutoff, top_index, split, pinned", [
@@ -248,6 +278,43 @@ class TestSeriesPlan:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+class TestSettled:
+    """The exit predicate on synthetic parts: a tail of at most the bound changes no bit."""
+
+    TINY = 2.0**-200
+
+    def test_tie_does_not_settle(self):
+        # 1 + 2^-53 lies halfway between two floats: any tail decides the
+        # rounding, though the bound passes the pre-screen; 1 + 2^-54
+        # lies clear of the halfway point
+        parts = [1.0, 2.0**-53]
+        assert 2 * self.TINY < math.ulp(math.fsum(parts))
+        assert not numeval._settled([(parts, [])], [self.TINY], 0.0)
+        assert numeval._settled([([1.0, 2.0**-54], [])], [self.TINY], 0.0)
+
+    def test_every_series_must_settle(self):
+        parts = [([1.0], []), ([1.0, 2.0**-53], []), ([2.0], [])]
+        assert not numeval._settled(parts, [self.TINY] * 3, 0.0)
+        assert numeval._settled(parts[::2], [self.TINY] * 2, 0.0)
+
+    def test_imaginary_parts_are_read_at_a_complex_point(self):
+        parts = [([1.0], [1.0, 2.0**-53])]
+        assert not numeval._settled(parts, [self.TINY], 3.0)
+        assert numeval._settled([([1.0], [2.0])], [self.TINY], 3.0)
+        # an imaginary part not yet seen may still come from the tail
+        assert not numeval._settled([([1.0], [])], [self.TINY], 3.0)
+
+    def test_bound_wider_than_an_ulp_does_not_settle(self):
+        assert not numeval._settled([([1.0], [])], [2.0**-53], 0.0)
+        assert numeval._settled([([1.0], [])], [2.0**-55], 0.0)
+
+    def test_bound_raised_to_the_floor(self):
+        # an underflowed bound of 0.0 counts as 2^-1022, wider than an
+        # ulp of a value near the subnormals
+        assert not numeval._settled([([3 * 2.0**-1022], [])], [0.0], 0.0)
+        assert numeval._settled([([2.0**-900], [])], [0.0], 0.0)
 
 
 def _block_split(terms: list[float], rng: random.Random) -> list[list[float]]:

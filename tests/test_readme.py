@@ -28,7 +28,8 @@ def test_readme_has_python_blocks():
     assert _BLOCKS
 
 
-@pytest.mark.parametrize("line, source", _BLOCKS, ids=[f"line{n}" for n, _ in _BLOCKS])
+# ids from the text, not the line numbers, so that a prose edit renames no case
+@pytest.mark.parametrize("line, source", _BLOCKS, ids=[s.partition("\n")[0] for _, s in _BLOCKS])
 def test_python_block_runs(line, source, capsys):
     # each block in a fresh namespace, so it must import what it uses;
     # the padding makes a traceback name the README line
@@ -41,7 +42,7 @@ def test_readme_has_command_lines():
     assert _COMMANDS
 
 
-@pytest.mark.parametrize("line, command", _COMMANDS, ids=[f"line{n}" for n, _ in _COMMANDS])
+@pytest.mark.parametrize("line, command", _COMMANDS, ids=[c for _, c in _COMMANDS])
 def test_command_line_runs(line, command, capsys):
     # in-process, as the entry point would run it
     code = cli.run(shlex.split(command)[1:])

@@ -17,8 +17,9 @@ are its raw seconds times 200 us over the median probe time, so that
 rows taken on a slower or busier host compare.  Its peak RSS is the
 interpreter's own, from `resource.getrusage(RUSAGE_SELF)`.  The script
 prints one markdown row per command: the medians of the three runs' raw
-seconds, reference seconds and probe times, the largest peak RSS and
-the exit code.  It needs nothing beyond the standard library.
+seconds and reference seconds (to 1 ms under 0.1 s) and probe times,
+the largest peak RSS and the exit code.  It needs nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ COMMANDS = [
     "verify --n 400 --mode exact",
     "verify --n 12 --mode numeric --s 5 --cutoff 1000000",
     "verify --n 12 --mode numeric --s 4+3i --cutoff 1000000",
+    # every series settles after the first block, so the loop stops there
+    "verify --n 12 --mode numeric --s 12 --cutoff 1000000",
     # a tol above the bound (2.1e15 here), so that the series are summed
     "verify --n 40 --mode numeric --s 4+3i --cutoff 1000000 --tol 1e16",
     # a series term costs more as its degree grows with N
@@ -78,6 +81,11 @@ def _measure_one(args: list[str]) -> None:
                       "probe_us": statistics.median(speed.times or [probe()]) * 1e6}))
 
 
+def _seconds(x: float) -> str:
+    # a run that stops early would read 0.0 s at one decimal
+    return f"{x:.1f} s" if x >= 0.1 else f"{x:.3f} s"
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--one"]:
         _measure_one(argv[1:])
@@ -100,7 +108,7 @@ def main(argv: list[str]) -> int:
         probe = statistics.median(c["probe_us"] for c in costs)
         peak_mb = max(c["peak_mb"] for c in costs)
         exits = "/".join(sorted({str(c["exit"]) for c in costs}))
-        print(f"| `{command}` | {seconds:.1f} s | {reference:.1f} s | {probe:.0f} us "
+        print(f"| `{command}` | {_seconds(seconds)} | {_seconds(reference)} | {probe:.0f} us "
               f"| {peak_mb:.1f} MB | {exits} |", flush=True)
     return 0
 
