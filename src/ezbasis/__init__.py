@@ -84,19 +84,12 @@ __all__ = [
 ]
 
 # numeval loads on first use: no exact command needs it, and importing
-# it costs every command-line start a few milliseconds
-_NUMEVAL_EXPORTS = frozenset({
-    "NumericReport",
-    "NumericResult",
-    "eval_ez_double",
-    "eval_tornheim",
-    "numeric_verify",
-    "zeta_reference",
-})
+# it costs every command-line start a few milliseconds; every other
+# name in __all__ is bound above
 
 
 def __getattr__(name: str):
-    if name in _NUMEVAL_EXPORTS:
+    if name in __all__:
         from . import numeval
 
         return getattr(numeval, name)

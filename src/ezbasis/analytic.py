@@ -313,7 +313,7 @@ def independence_witness(m: int) -> PoleRecord:
     locations, residues = _catalog_ints(2 * m)
     if locations[-1] != location:
         raise VerificationError(
-            f"zeta(-{2 * m},s+{2 * m}) lacks the expected pole at s = {location}"
+            f"{function_label(2 * m)} lacks the expected pole at s = {location}"
         )
     for c in range(2 * m):
         if location in _catalog_ints(c)[0]:

@@ -95,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, formats: tuple[str, ...] = _FORMATS) -> None:
+    def common(sp: argparse.ArgumentParser, handler,
+               formats: tuple[str, ...] = _FORMATS) -> None:
+        sp.set_defaults(handler=handler)
         sp.add_argument("--format", dest="fmt", choices=formats, default="text")
         sp.add_argument("--output", dest="output_path", default=None,
                         help="write to this file instead of stdout")
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("matrix", help="build the full coefficient matrix")
     sp.add_argument("--n", required=True,
                     type=_at_most(800, "a larger matrix needs over 150 MB to render"))
-    common(sp)
+    common(sp, _cmd_matrix)
 
     sp = sub.add_parser("invert", help="invert one triangular submatrix")
     sp.add_argument("--n", required=True,
@@ -111,28 +113,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--which", choices=("a1", "a2"), default="a1")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the cofactor algorithm")
-    common(sp)
+    common(sp, _cmd_invert)
 
     sp = sub.add_parser("relations", help="the Q-linear relation family")
     sp.add_argument("--n", required=True,
                     type=_at_most(600, "per-relation back-substitutions grow like N^4"))
-    common(sp)
+    common(sp, _cmd_relations)
 
     sp = sub.add_parser("basis", help="basis representation of one odd-index member")
     sp.add_argument("--m", required=True,
                     type=_at_most(800, "near m = 920 a coefficient passes the "
                                        "4300-digit int-to-str limit"))
-    common(sp)
+    common(sp, _cmd_basis)
 
     sp = sub.add_parser("poles", help="pole/residue catalog of one member")
     sp.add_argument("--n", required=True,
                     type=_at_most(1500, "the Bernoulli numbers cost about n^3.5"))
-    common(sp)
+    common(sp, _cmd_poles)
 
     sp = sub.add_parser("expand", help="expansion over shifted Riemann zetas")
     sp.add_argument("--c", required=True,
                     type=_at_most(1500, "the Bernoulli numbers cost about c^3.5"))
-    common(sp)
+    common(sp, _cmd_expand)
 
     sp = sub.add_parser("verify", help="run the verification suites")
     sp.add_argument("--n", required=True,
@@ -144,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=_at_most(10**6, "each series sums cutoff terms"),
                     default=100000)
     sp.add_argument("--tol", type=float, default=1e-6)
-    common(sp, formats=("text", "json"))
+    common(sp, _cmd_verify, formats=("text", "json"))
 
     return parser
 
@@ -406,17 +408,6 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
     return out, 0 if ok else 1
 
 
-_DISPATCH = {
-    "matrix": _cmd_matrix,
-    "invert": _cmd_invert,
-    "relations": _cmd_relations,
-    "basis": _cmd_basis,
-    "poles": _cmd_poles,
-    "expand": _cmd_expand,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -426,7 +417,7 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        out, code = _DISPATCH[ns.command](ns)
+        out, code = ns.handler(ns)
     except VerificationError as exc:
         print(f"ezbasis: verification failure: {exc}", file=sys.stderr)
         return 1

@@ -70,9 +70,9 @@ def _bernoulli_ints(n: int) -> tuple[int, list[int]]:
     if start > n:
         return den, nums
     nums = list(nums)
-    # row[k] = C(m+1, k) for k = 0..m+1
+    # row[k] = C(m+1, k) for k = 0..m+1; m >= 2, as the table starts at B_1
     for m in range(start, n + 1):
-        if m % 2 and m > 1:
+        if m % 2:
             nums.append(0)
         else:
             # B_m = -acc / (den (m+1)); over the lcm of den and its reduced
@@ -99,6 +99,14 @@ def bernoulli(n: int) -> Fraction:
     return Fraction(nums[n], den)
 
 
+def _horner(poly: list[int], n: int) -> int:
+    """The integer polynomial `poly`, highest power first, at n."""
+    acc = 0
+    for coef in poly:
+        acc = acc * n + coef
+    return acc
+
+
 def _faulhaber_ints(c: int) -> tuple[int, list[int]]:
     """Coefficients of `faulhaber(c)` as (common denominator D, numerators).
 
@@ -120,10 +128,7 @@ def _faulhaber_ints(c: int) -> tuple[int, list[int]]:
         raise ValueError("leading coefficient must be 1/(c+1)")
     if sum(nums) != 0:
         raise ValueError("empty sum at n = 1 must vanish")
-    acc = 0
-    for x in nums:
-        acc = 2 * acc + x
-    if acc != den:
+    if _horner(nums, 2) != den:
         raise ValueError("sum at n = 2 must equal 1")
     if c >= 1 and 2 * nums[1] != -den:
         raise ValueError("coefficient of n^c must be -1/2")

@@ -116,7 +116,7 @@ from operator import add, mul, neg, truediv
 
 from ._record import record
 from .coeffs import tornheim_decomposition
-from .exactnum import _faulhaber_ints, bernoulli
+from .exactnum import _faulhaber_ints, _horner, bernoulli
 from .relations import _family_terms
 
 _SLACK = 17.0 / 16.0
@@ -256,13 +256,6 @@ def _tornheim_poly(a: int) -> tuple[list[int], int]:
         poly[:len(nums)] = map(add, poly, map(mul, nums, repeat(scale)))
     g = gcd(big, *poly)
     return [x // g for x in poly], big // g
-
-
-def _horner(poly: list[int], n: int) -> int:
-    acc = 0
-    for coef in poly:
-        acc = acc * n + coef
-    return acc
 
 
 def _tornheim_values(poly: list[int]):
@@ -518,7 +511,9 @@ def numeric_verify(N: int, s: complex, cutoff: int, tol: float) -> NumericReport
         raise ValueError("N must be >= 2")
     n_prime = N // 2
     m_top = (N - 1) // 2
-    top_index = max(2 * n_prime - 1, 2 * m_top + 1)
+    # the top representation's index; the top relation's, 2 n_prime - 1,
+    # equals it for even N and is 2 below it for odd N
+    top_index = 2 * m_top + 1
     s = _check_domain(s, cutoff, shift=top_index)
     if not (tol > 0):
         raise ValueError("tol must be positive")

@@ -56,7 +56,7 @@ MUTANTS = [
     Mutant(
         "faulhaber-n-2-anchor-unchecked",
         "src/ezbasis/exactnum.py",
-        "    if acc != den:\n",
+        "    if _horner(nums, 2) != den:\n",
         "    if False:\n",
         ("tests/test_exactnum.py::TestIntegerKernels"
          "::test_error_the_earlier_anchors_miss_is_caught",),
@@ -165,6 +165,21 @@ MUTANTS = [
         "src/ezbasis/relations.py",
         "        if piv == 0:\n",
         "        if False:\n",
+        ("tests/test_relations.py::TestBackSubstitutionSafety::test_zero_pivot_is_reported",),
+    ),
+    Mutant(
+        "zero-pivot-names-wrong-relation",
+        "src/ezbasis/relations.py",
+        'f"relation {i + 1}"',
+        'f"relation {i - 1}"',
+        ("tests/test_relations.py::TestBackSubstitutionSafety"
+         "::test_zero_pivot_in_the_relation_family",),
+    ),
+    Mutant(
+        "zero-pivot-names-wrong-representation",
+        "src/ezbasis/relations.py",
+        'f"m = {m}"',
+        'f"m = {m - 1}"',
         ("tests/test_relations.py::TestBackSubstitutionSafety::test_zero_pivot_is_reported",),
     ),
     Mutant(

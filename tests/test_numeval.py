@@ -249,12 +249,25 @@ class TestSeriesPlan:
             numeval._block_values(*case)
         assert set(branches) == {0, 1}, branches
 
-    def test_two_fsum_passes_per_series_block(self, fsum_passes):
+    def test_two_fsum_passes_per_series_block(self, fsum_passes, monkeypatch):
         # 18 series over three blocks, then two fsums per series for the
         # value; in the first block low lies too far below the sum for
         # most shifts, so each of its series-blocks may take a third pass
+        settled, settle_passes = numeval._settled, []
+
+        def counted(*args):
+            before = fsum_passes[0]
+            try:
+                return settled(*args)
+            finally:
+                settle_passes.append(fsum_passes[0] - before)
+
+        monkeypatch.setattr(numeval, "_settled", counted)
         numeval._block_values(complex(5), _THREE_BLOCKS, range(12), range(6))
-        assert fsum_passes[0] <= 3 * 18 + 2 * (2 * 18) + 2 * 18
+        # s = 5 never settles: after each block but the last, the first
+        # series fails the pre-screen on its one fsum
+        assert settle_passes == [1, 1]
+        assert fsum_passes[0] - sum(settle_passes) <= 3 * 18 + 2 * (2 * 18) + 2 * 18
 
     @pytest.mark.parametrize("tau", [3.0, -2.5, 1e-3, 76.0, 1234.5])
     def test_phase_table_equals_cmath_exp(self, tau):

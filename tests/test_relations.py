@@ -286,15 +286,18 @@ class TestBackSubstitutionSafety:
     def test_zero_pivot_is_reported(self, monkeypatch):
         # a_{7,4} is the fourth diagonal entry of A1
         _corrupt_row(monkeypatch, 7, 4, 0)
-        with pytest.raises(VerificationError, match=r"a_\{7,4\}.*position 4"):
+        with pytest.raises(VerificationError,
+                           match=r"a_\{7,4\}.*position 4 .* in the solve for m = 5$"):
             basis_representation(5)
 
     @pytest.mark.parametrize("c, d, half", [(7, 4, 1), (10, 5, 2)])
     def test_zero_pivot_in_the_relation_family(self, monkeypatch, c, d, half):
-        # a_{7,4} is the fourth diagonal entry of A1, a_{10,5} the fifth of A2
+        # a_{7,4} is the fourth diagonal entry of A1, a_{10,5} the fifth of
+        # A2; relation d is the first whose solve reaches diagonal position d
         _corrupt_row(monkeypatch, c, d, 0)
         with pytest.raises(
             VerificationError, match=rf"a_\{{{c},{d}\}} at diagonal position {d} of A{half}"
+                                     rf" in the solve for relation {d}$"
         ):
             relation_family(12)
 

@@ -4,6 +4,9 @@ Run from the root of a source checkout:
 
     python3 tools/ceilings.py              # every row of the table
     python3 tools/ceilings.py verify       # only the commands starting with "verify"
+    python3 tools/ceilings.py verify --n 40   # only the N = 40 row, not N = 400
+
+A command is selected when its leading words are the given words.
 
 Each command runs three times, each time in a fresh interpreter that
 imports `ezbasis.cli` from `src` and calls `cli.run` on the command's
@@ -81,6 +84,11 @@ def _measure_one(args: list[str]) -> None:
                       "probe_us": statistics.median(speed.times or [probe()]) * 1e6}))
 
 
+def select(words: list[str]) -> list[str]:
+    """The commands whose leading words are `words`, in table order."""
+    return [c for c in COMMANDS if c.split()[:len(words)] == words]
+
+
 def _seconds(x: float) -> str:
     # a run that stops early would read 0.0 s at one decimal
     return f"{x:.1f} s" if x >= 0.1 else f"{x:.3f} s"
@@ -90,9 +98,9 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--one"]:
         _measure_one(argv[1:])
         return 0
-    commands = [c for c in COMMANDS if c.startswith(" ".join(argv))]
+    commands = select(argv)
     if not commands:
-        print(f"no ceiling command starts with {' '.join(argv)!r}", file=sys.stderr)
+        print(f"no ceiling command starts with the words {' '.join(argv)!r}", file=sys.stderr)
         return 2
     print(f"Python {sys.version.split()[0]}, {os.cpu_count()} cores; "
           f"medians of {RUNS} runs, reference seconds at a {REFERENCE_PROBE_US:.0f} us probe")
